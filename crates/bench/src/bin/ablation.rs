@@ -15,7 +15,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sdnprobe::{accuracy, generate_with, ProbeConfig, RandomizedSdnProbe, SdnProbe};
+use sdnprobe::{
+    accuracy, generate_randomized_with_cache, generate_with_cache, ExpansionCache, ProbeConfig,
+    RandomizedSdnProbe, SdnProbe,
+};
 use sdnprobe_bench::{f3, parallelism, summary, ResultTable};
 use sdnprobe_rulegraph::{RuleGraph, VertexId};
 use sdnprobe_topology::generate::rocketfuel_like;
@@ -206,7 +209,8 @@ fn closure_and_legality(table_dir: &mut Vec<ResultTable>) {
             Ok(g) => g,
             Err(_) => continue,
         };
-        let mlpc = generate_with(&graph, parallelism()).packet_count();
+        let mlpc =
+            generate_with_cache(&graph, &mut ExpansionCache::new(), parallelism()).packet_count();
         // Compare on the same universe MLPC covers: drop cover paths
         // that only contain shadowed rules (no packet can trigger them,
         // so no scheme needs to probe them).
@@ -293,10 +297,13 @@ fn randomization_overhead(table_dir: &mut Vec<ResultTable>) {
             continue;
         };
         let par = parallelism();
-        let minimum = generate_with(&graph, par).packet_count();
+        let minimum = generate_with_cache(&graph, &mut ExpansionCache::new(), par).packet_count();
         let mut rng = StdRng::seed_from_u64(seed);
         let avg: f64 = (0..10)
-            .map(|_| sdnprobe::generate_randomized_with(&graph, &mut rng, par).packet_count())
+            .map(|_| {
+                generate_randomized_with_cache(&graph, &mut rng, &mut ExpansionCache::new(), par)
+                    .packet_count()
+            })
             .sum::<usize>() as f64
             / 10.0;
         let caught = detour_rounds_with_seed(seed, 60);

@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sdnprobe::{generate_randomized_with, generate_with};
+use sdnprobe::{generate_randomized_with_cache, generate_with_cache, ExpansionCache};
 use sdnprobe_baselines::{Atpg, PerRuleTester};
 use sdnprobe_bench::{arg, f3, flag, parallelism, summary, ResultTable};
 use sdnprobe_rulegraph::RuleGraph;
@@ -47,9 +47,11 @@ fn main() {
             }
         };
         let rules = graph.vertex_count();
-        let sdn = generate_with(&graph, par).packet_count();
+        let sdn = generate_with_cache(&graph, &mut ExpansionCache::new(), par).packet_count();
         let mut rng = StdRng::seed_from_u64(case.seed);
-        let randomized = generate_randomized_with(&graph, &mut rng, par).packet_count();
+        let randomized =
+            generate_randomized_with_cache(&graph, &mut rng, &mut ExpansionCache::new(), par)
+                .packet_count();
         let atpg_plan = Atpg::new().with_ingress(sn.ingress_switches()).plan(&graph);
         let atpg = atpg_plan.packet_count();
         let (per_rule, _) = PerRuleTester::new().plan(&graph);

@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use sdnprobe::generate_with;
+use sdnprobe::{generate_with_cache, ExpansionCache};
 use sdnprobe_bench::{f3, parallelism, summary, ResultTable};
 use sdnprobe_headerspace::solver::WitnessQuery;
 use sdnprobe_rulegraph::RuleGraph;
@@ -22,7 +22,7 @@ fn main() {
     let campus = synthesize_campus(&CampusSpec::default());
     let started = Instant::now();
     let graph = RuleGraph::from_network(&campus.network).expect("loop-free campus policy");
-    let plan = generate_with(&graph, parallelism());
+    let plan = generate_with_cache(&graph, &mut ExpansionCache::new(), parallelism());
     let pct = started.elapsed().as_secs_f64();
     assert!(plan.covers_all_rules(&graph));
 

@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use sdnprobe::generate_with;
+use sdnprobe::{generate_with_cache, ExpansionCache};
 use sdnprobe_bench::{arg, f3, flag, parallelism, summary, ResultTable};
 use sdnprobe_rulegraph::RuleGraph;
 use sdnprobe_topology::generate::rocketfuel_like;
@@ -52,7 +52,7 @@ fn main() {
                 continue;
             }
         };
-        let plan = generate_with(&graph, par);
+        let plan = generate_with_cache(&graph, &mut ExpansionCache::new(), par);
         let pct = started.elapsed().as_secs_f64();
         let stats = graph.legal_path_stats();
         table.push(&[

@@ -15,9 +15,8 @@
 //!   without pairwise intersection over all co-located rules.
 //!
 //! Patterns are passed as raw `(care, value)` bit masks so the crate
-//! stays dependency-free (like `sdnprobe-parallel`): bit `k` of `care`
-//! set means position `k` is fixed to bit `k` of `value`; clear means
-//! wildcard. This is exactly the representation of
+//! stays dependency-free: bit `k` of `care` set means position `k` is
+//! fixed to bit `k` of `value`; clear means wildcard. This is exactly the representation of
 //! `sdnprobe_headerspace::Ternary`, whose `care_mask()` / `value_bits()`
 //! accessors feed straight in.
 //!

@@ -12,10 +12,10 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sdnprobe_dataplane::{Network, NetworkError};
-use sdnprobe_rulegraph::{RuleGraph, RuleGraphError};
+use sdnprobe_rulegraph::{ExpansionCache, RuleGraph, RuleGraphError};
 
 use crate::generation::{
-    generate_randomized_weighted_with, generate_randomized_with, generate_with,
+    generate_randomized_with_cache, generate_weighted_with_cache, generate_with_cache,
 };
 use crate::localize::{DetectionReport, FaultLocalizer, ProbeConfig};
 use crate::plan::TestPlan;
@@ -118,7 +118,7 @@ impl SdnProbe {
     /// rules.
     pub fn plan(&self, net: &Network) -> Result<(RuleGraph, TestPlan), RuleGraphError> {
         let graph = RuleGraph::from_network(net)?;
-        let plan = generate_with(&graph, self.config.parallelism);
+        let plan = generate_with_cache(&graph, &mut ExpansionCache::new(), self.config.parallelism);
         Ok((graph, plan))
     }
 
@@ -142,19 +142,33 @@ impl SdnProbe {
         let started = Instant::now();
         let (graph, plan) = self.plan(net)?;
         let generation_ns = started.elapsed().as_nanos() as u64;
-        let mut harness = ProbeHarness::new().with_retry_policy(self.config.retry_policy());
-        let (probes, degraded) = harness.install_plan_tolerant(net, &graph, &plan)?;
         let mut localizer = FaultLocalizer::new(self.config);
-        let mut report = localizer.run(net, &graph, &mut harness, probes)?;
-        report.degraded.extend(degraded);
-        report.degraded.sort_unstable();
-        report.degraded.dedup();
-        report.generation_ns = generation_ns;
-        if let Err(t) = harness.teardown(net) {
-            report.teardown_failures += t.failures.len();
-        }
-        Ok(report)
+        run_round(net, &graph, &plan, &mut localizer, generation_ns)
     }
+}
+
+/// One detection round over a ready plan, shared by [`SdnProbe::detect`]
+/// and [`RandomizedSession::step`]: install the Fig. 7 instrumentation
+/// (quarantining probes that cannot be installed), localize to
+/// quiescence, and tear down best-effort.
+fn run_round(
+    net: &mut Network,
+    graph: &RuleGraph,
+    plan: &TestPlan,
+    localizer: &mut FaultLocalizer,
+    generation_ns: u64,
+) -> Result<DetectionReport, DetectError> {
+    let mut harness = ProbeHarness::new().with_retry_policy(localizer.config().retry_policy());
+    let (probes, degraded) = harness.install_plan_tolerant(net, graph, plan)?;
+    let mut report = localizer.run(net, graph, &mut harness, probes)?;
+    report.degraded.extend(degraded);
+    report.degraded.sort_unstable();
+    report.degraded.dedup();
+    report.generation_ns = generation_ns;
+    if let Err(t) = harness.teardown(net) {
+        report.teardown_failures += t.failures.len();
+    }
+    Ok(report)
 }
 
 /// Randomized SDNProbe: every detection round re-draws tested paths
@@ -202,7 +216,6 @@ impl RandomizedSdnProbe {
             graph_ns,
             localizer: FaultLocalizer::new(self.config),
             rng: StdRng::seed_from_u64(self.seed),
-            config: self.config,
         })
     }
 
@@ -230,7 +243,6 @@ pub struct RandomizedSession {
     graph_ns: u64,
     localizer: FaultLocalizer,
     rng: StdRng,
-    config: ProbeConfig,
 }
 
 impl RandomizedSession {
@@ -277,27 +289,22 @@ impl RandomizedSession {
         profile: Option<&TrafficProfile>,
     ) -> Result<DetectionReport, DetectError> {
         let started = Instant::now();
-        let parallelism = self.config.parallelism;
+        let parallelism = self.localizer.config().parallelism;
+        // A fresh memo per round, dropped before the round runs: one held
+        // across rounds keeps growing.
+        let (graph, rng) = (&self.graph, &mut self.rng);
         let plan = match profile {
             Some(p) => {
-                generate_randomized_weighted_with(&self.graph, &mut self.rng, p, parallelism)
+                generate_weighted_with_cache(graph, rng, p, &mut ExpansionCache::new(), parallelism)
             }
-            None => generate_randomized_with(&self.graph, &mut self.rng, parallelism),
+            None => {
+                generate_randomized_with_cache(graph, rng, &mut ExpansionCache::new(), parallelism)
+            }
         };
         let generation_ns = started.elapsed().as_nanos() as u64;
-        let mut harness = ProbeHarness::new().with_retry_policy(self.config.retry_policy());
-        let (probes, degraded) = harness.install_plan_tolerant(net, &self.graph, &plan)?;
         // Each step runs localization to quiescence on this round's
         // paths; restart_when_idle is handled by calling step again.
-        let mut report = self.localizer.run(net, &self.graph, &mut harness, probes)?;
-        report.degraded.extend(degraded);
-        report.degraded.sort_unstable();
-        report.degraded.dedup();
-        report.generation_ns = generation_ns;
-        if let Err(t) = harness.teardown(net) {
-            report.teardown_failures += t.failures.len();
-        }
-        Ok(report)
+        run_round(net, &self.graph, &plan, &mut self.localizer, generation_ns)
     }
 }
 

@@ -21,168 +21,116 @@ use rand::seq::SliceRandom;
 use rand::RngCore;
 use sdnprobe_headerspace::solver::WitnessQuery;
 use sdnprobe_headerspace::{Header, HeaderSet, Ternary};
-use sdnprobe_parallel::{parallel_map, Parallelism};
 use sdnprobe_rulegraph::{ExpansionCache, RuleGraph, VertexId};
 
+use crate::parallel::{parallel_map, Parallelism};
 use crate::plan::{PlannedProbe, TestPlan};
 use crate::traffic::TrafficProfile;
 
-/// Strategy for picking each probe's concrete header out of `HS(ℓ)`.
-#[derive(Debug, Clone, Copy)]
-enum HeaderPick<'t> {
-    /// Deterministic minimum header (SDNProbe).
-    Deterministic,
-    /// Uniformly sampled (Randomized SDNProbe's header randomization).
-    Random,
-    /// Prefer headers real traffic used on the path's switches (§V-C's
-    /// `HS(ℓ) ∩ h^t(ℓ)` selection), falling back to uniform.
-    TrafficWeighted(&'t TrafficProfile),
-}
-
 /// Generates the minimum set of test packets for a rule graph
 /// (Algorithm 1: bipartite graph → modified Hopcroft–Karp with legal
-/// augmenting paths → header construction), using every available core
-/// for the per-path expansion stage.
-///
-/// Equivalent to [`generate_with`] with [`Parallelism::auto`].
+/// augmenting paths → header construction), with a fresh expansion memo
+/// and every available core for the per-path expansion stage.
 ///
 /// # Examples
 ///
 /// See the crate-level example in [`crate`].
 pub fn generate(graph: &RuleGraph) -> TestPlan {
-    generate_with(graph, Parallelism::auto())
+    generate_with_cache(graph, &mut ExpansionCache::new(), Parallelism::auto())
 }
 
-/// [`generate`] with an explicit thread budget.
+/// [`generate`] with an explicit thread budget, reusing a caller-held
+/// expansion memo.
 ///
 /// The augmenting-path matching phase is inherently sequential and runs
 /// on the calling thread regardless of `parallelism`; only the per-path
 /// legal expansion fans out. The returned plan is bit-identical for any
 /// thread count — see `DESIGN.md` § Concurrency model.
-pub fn generate_with(graph: &RuleGraph, parallelism: Parallelism) -> TestPlan {
-    generate_with_cache(graph, &mut ExpansionCache::new(), parallelism)
-}
-
-/// [`generate_with`] reusing a caller-held expansion memo.
 ///
-/// Every cache entry is a pure function of the graph, so the returned
-/// plan is bit-identical to [`generate`] no matter what state the cache
-/// is in — fresh, warmed by earlier runs, or shared with the randomized
-/// generator. Reuse pays off when plans are regenerated over a stable
-/// (or incrementally updated) rule graph, as in continuous monitoring:
-/// the matching phase's legality probes and the expansion stage become
-/// memo lookups. The cache self-invalidates when the graph's
+/// Every cache entry is a pure function of the graph, so the plan is
+/// also bit-identical no matter what state the cache is in — fresh,
+/// warmed by earlier runs, or shared with the randomized generators.
+/// Reuse pays off when plans are regenerated over a stable (or
+/// incrementally updated) rule graph, as in continuous monitoring: the
+/// matching phase's legality probes and the expansion stage become memo
+/// lookups. The cache self-invalidates when the graph's
 /// [`generation`](RuleGraph::generation) changes.
 pub fn generate_with_cache(
     graph: &RuleGraph,
     cache: &mut ExpansionCache,
     parallelism: Parallelism,
 ) -> TestPlan {
-    let mut matcher = LegalMatcher::new(graph, std::mem::take(cache));
-    matcher.run_maximum();
-    let plan = build_plan(
-        graph,
-        &mut matcher,
-        HeaderPick::Deterministic,
-        &mut NoRng,
-        parallelism,
-    );
-    *cache = matcher.cache;
-    plan
+    plan(graph, Strategy::Minimum, cache, parallelism)
 }
 
-/// Generates a randomized test plan: randomized greedy legal matching
-/// (different tested paths every call) plus randomized header selection
-/// within each path's header space.
-///
-/// Equivalent to [`generate_randomized_with`] with [`Parallelism::auto`].
-pub fn generate_randomized(graph: &RuleGraph, rng: &mut impl RngCore) -> TestPlan {
-    generate_randomized_with(graph, rng, Parallelism::auto())
-}
-
-/// [`generate_randomized`] with an explicit thread budget.
+/// Generates a randomized test plan (§V-C): randomized greedy legal
+/// matching (different tested paths every call) plus randomized header
+/// selection within each path's header space.
 ///
 /// All RNG consumption (matching order, path breaks, header sampling)
 /// happens on the calling thread in a fixed order, so for a fixed seed
-/// the plan is bit-identical at every thread count.
-pub fn generate_randomized_with(
-    graph: &RuleGraph,
-    rng: &mut impl RngCore,
-    parallelism: Parallelism,
-) -> TestPlan {
-    generate_randomized_with_cache(graph, rng, &mut ExpansionCache::new(), parallelism)
-}
-
-/// [`generate_randomized_with`] reusing a caller-held expansion memo —
-/// the per-round variant of [`generate_with_cache`], for detection
-/// loops that draw a fresh randomized plan every round over the same
-/// graph. Same guarantee: for a fixed seed the plan is bit-identical
-/// whatever the cache holds.
+/// the plan is bit-identical at every thread count and whatever the
+/// cache holds (same guarantees as [`generate_with_cache`]).
 pub fn generate_randomized_with_cache(
     graph: &RuleGraph,
     rng: &mut impl RngCore,
     cache: &mut ExpansionCache,
     parallelism: Parallelism,
 ) -> TestPlan {
-    let mut matcher = LegalMatcher::new(graph, std::mem::take(cache));
-    matcher.run_randomized_greedy(rng);
-    let plan = build_plan(graph, &mut matcher, HeaderPick::Random, rng, parallelism);
-    *cache = matcher.cache;
-    plan
+    plan(graph, Strategy::Randomized(rng), cache, parallelism)
 }
 
-/// Like [`generate_randomized`], but probe headers are preferentially
-/// drawn from headers observed in real traffic on the tested path's
-/// switches (the paper's sFlow-based sampling). Falls back to uniform
-/// sampling for paths where no observed header fits `HS(ℓ)`.
-///
-/// Equivalent to [`generate_randomized_weighted_with`] with
-/// [`Parallelism::auto`].
-pub fn generate_randomized_weighted(
+/// Like [`generate_randomized_with_cache`], but probe headers are
+/// preferentially drawn from headers observed in real traffic on the
+/// tested path's switches (the paper's sFlow-based sampling). Falls back
+/// to uniform sampling for paths where no observed header fits `HS(ℓ)`,
+/// so an empty profile yields exactly the uniform plan.
+pub fn generate_weighted_with_cache(
     graph: &RuleGraph,
     rng: &mut impl RngCore,
     profile: &TrafficProfile,
-) -> TestPlan {
-    generate_randomized_weighted_with(graph, rng, profile, Parallelism::auto())
-}
-
-/// [`generate_randomized_weighted`] with an explicit thread budget; same
-/// determinism guarantee as [`generate_randomized_with`].
-pub fn generate_randomized_weighted_with(
-    graph: &RuleGraph,
-    rng: &mut impl RngCore,
-    profile: &TrafficProfile,
+    cache: &mut ExpansionCache,
     parallelism: Parallelism,
 ) -> TestPlan {
-    let mut matcher = LegalMatcher::new(graph, ExpansionCache::new());
-    matcher.run_randomized_greedy(rng);
-    build_plan(
+    plan(
         graph,
-        &mut matcher,
-        HeaderPick::TrafficWeighted(profile),
-        rng,
+        Strategy::TrafficWeighted(rng, profile),
+        cache,
         parallelism,
     )
 }
 
-/// Fallback RNG for the deterministic path (never actually used to pick
-/// headers).
-struct NoRng;
+/// How a plan picks its matching and its probe headers. The paper's
+/// generators are one algorithm with these three strategies.
+enum Strategy<'a> {
+    /// Algorithm 1: maximum legal matching, deterministic minimum header.
+    Minimum,
+    /// Randomized greedy matching, uniformly sampled headers.
+    Randomized(&'a mut dyn RngCore),
+    /// Randomized greedy matching; headers prefer real traffic seen on
+    /// the path's switches (§V-C's `HS(ℓ) ∩ h^t(ℓ)` selection).
+    TrafficWeighted(&'a mut dyn RngCore, &'a TrafficProfile),
+}
 
-impl RngCore for NoRng {
-    fn next_u32(&mut self) -> u32 {
-        0
+/// The one planning routine behind every public generator: match, then
+/// expand and pick headers. `cache` is lent to the matcher and handed
+/// back afterwards.
+fn plan(
+    graph: &RuleGraph,
+    mut strategy: Strategy<'_>,
+    cache: &mut ExpansionCache,
+    parallelism: Parallelism,
+) -> TestPlan {
+    let mut matcher = LegalMatcher::new(graph, std::mem::take(cache));
+    match &mut strategy {
+        Strategy::Minimum => matcher.run_maximum(),
+        Strategy::Randomized(rng) | Strategy::TrafficWeighted(rng, _) => {
+            matcher.run_randomized_greedy(*rng)
+        }
     }
-    fn next_u64(&mut self) -> u64 {
-        0
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        dest.fill(0);
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        dest.fill(0);
-        Ok(())
-    }
+    let plan = build_plan(graph, &mut matcher, &mut strategy, parallelism);
+    *cache = matcher.cache;
+    plan
 }
 
 /// Matching state over the rule graph's closure edges, maintaining the
@@ -328,7 +276,7 @@ impl<'g> LegalMatcher<'g> {
     /// always at the end of a test path"). The extra breaks are part of
     /// why Randomized SDNProbe sends noticeably more packets than the
     /// minimum (paper: +72 % on average).
-    fn run_randomized_greedy(&mut self, rng: &mut impl RngCore) {
+    fn run_randomized_greedy(&mut self, rng: &mut dyn RngCore) {
         const BREAK_PROBABILITY: f64 = 0.15;
         // Take the order out instead of cloning it; `cover_paths` sorts,
         // so restoring the shuffled order is observationally identical.
@@ -383,8 +331,7 @@ impl<'g> LegalMatcher<'g> {
 fn build_plan(
     graph: &RuleGraph,
     matcher: &mut LegalMatcher<'_>,
-    pick: HeaderPick<'_>,
-    rng: &mut impl RngCore,
+    strategy: &mut Strategy<'_>,
     parallelism: Parallelism,
 ) -> TestPlan {
     let covers = matcher.cover_paths();
@@ -416,7 +363,7 @@ fn build_plan(
     let mut probes = Vec::new();
     let mut taken = TakenHeaders::default();
     for (cover, (path, header_space)) in covers.into_iter().zip(expanded) {
-        let header = choose_header(graph, &path, &header_space, &taken, pick, rng)
+        let header = choose_header(graph, &path, &header_space, &taken, strategy)
             // Header spaces exhausted by uniqueness constraints are
             // practically impossible (spaces ≫ probe count); fall back to
             // any member rather than failing the whole plan.
@@ -458,47 +405,29 @@ impl TakenHeaders {
 }
 
 /// Picks a unique header from `HS(ℓ)`: must not collide with another
-/// probe's header (§VI's uniqueness constraint).
+/// probe's header (§VI's uniqueness constraint). Each strategy tries its
+/// own pick first; the witness solver settles collisions.
 fn choose_header(
     graph: &RuleGraph,
     path: &[VertexId],
-    space: &sdnprobe_headerspace::HeaderSet,
+    space: &HeaderSet,
     taken: &TakenHeaders,
-    pick: HeaderPick<'_>,
-    rng: &mut impl RngCore,
+    strategy: &mut Strategy<'_>,
 ) -> Option<Header> {
-    match pick {
-        HeaderPick::TrafficWeighted(profile) => {
-            if let Some(h) = profile.sample_for_path(graph, path, space, rng) {
-                if !taken.contains(&h) {
-                    return Some(h);
-                }
-            }
-            choose_header(graph, path, space, taken, HeaderPick::Random, rng)
+    let unique = |h: Option<Header>| h.filter(|h| !taken.contains(h));
+    // Rejection-sample a few times before falling back to the solver.
+    let sampled = |rng: &mut dyn RngCore| (0..16).find_map(|_| unique(space.sample_header(rng)));
+    let picked = match strategy {
+        Strategy::Minimum => unique(space.any_header()),
+        Strategy::Randomized(rng) => sampled(*rng),
+        Strategy::TrafficWeighted(rng, profile) => {
+            unique(profile.sample_for_path(graph, path, space, *rng)).or_else(|| sampled(*rng))
         }
-        HeaderPick::Random => {
-            // Rejection-sample a few times, then fall back to the solver.
-            for _ in 0..16 {
-                if let Some(h) = space.sample_header(rng) {
-                    if !taken.contains(&h) {
-                        return Some(h);
-                    }
-                }
-            }
-            solve_unique(space, taken)
-        }
-        HeaderPick::Deterministic => {
-            if let Some(h) = space.any_header() {
-                if !taken.contains(&h) {
-                    return Some(h);
-                }
-            }
-            solve_unique(space, taken)
-        }
-    }
+    };
+    picked.or_else(|| solve_unique(space, taken))
 }
 
-fn solve_unique(space: &sdnprobe_headerspace::HeaderSet, taken: &TakenHeaders) -> Option<Header> {
+fn solve_unique(space: &HeaderSet, taken: &TakenHeaders) -> Option<Header> {
     space.terms().iter().find_map(|t| {
         WitnessQuery::new(*t)
             .avoid_all(taken.ordered.iter().map(|h| Ternary::from_header(*h)))
@@ -514,6 +443,10 @@ mod tests {
 
     fn t(s: &str) -> Ternary {
         s.parse().expect("valid ternary")
+    }
+
+    fn randomized(g: &RuleGraph, rng: &mut impl RngCore) -> TestPlan {
+        generate_randomized_with_cache(g, rng, &mut ExpansionCache::new(), Parallelism::auto())
     }
 
     /// The paper's Figure 3 network (same construction as the rulegraph
@@ -693,7 +626,7 @@ mod tests {
         let mut seen_paths = std::collections::HashSet::new();
         for seed in 0..20 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let plan = generate_randomized(&g, &mut rng);
+            let plan = randomized(&g, &mut rng);
             assert!(plan.covers_all_rules(&g), "seed {seed} missed rules");
             assert!(plan.packet_count() >= 4, "cannot beat the minimum");
             for p in &plan.probes {
@@ -719,7 +652,7 @@ mod tests {
         let g = RuleGraph::from_network(&net).unwrap();
         let min = generate(&g).packet_count();
         let total: usize = (0..50)
-            .map(|seed| generate_randomized(&g, &mut StdRng::seed_from_u64(seed)).packet_count())
+            .map(|seed| randomized(&g, &mut StdRng::seed_from_u64(seed)).packet_count())
             .sum();
         let avg = total as f64 / 50.0;
         assert!(avg >= min as f64, "randomized can never beat the minimum");

@@ -48,19 +48,19 @@ mod app;
 pub mod generation;
 mod localize;
 mod monitor;
+mod parallel;
 mod plan;
 mod probe;
 mod traffic;
 
 pub use app::{DetectError, RandomizedSdnProbe, RandomizedSession, SdnProbe};
 pub use generation::{
-    generate, generate_randomized, generate_randomized_weighted, generate_randomized_weighted_with,
-    generate_randomized_with, generate_randomized_with_cache, generate_with, generate_with_cache,
+    generate, generate_randomized_with_cache, generate_weighted_with_cache, generate_with_cache,
 };
 pub use localize::{accuracy, Accuracy, DetectionReport, FaultLocalizer, ProbeConfig};
 pub use monitor::{Monitor, MonitorEvent};
+pub use parallel::Parallelism;
 pub use plan::{PlannedProbe, TestPlan};
 pub use probe::{ActiveProbe, ProbeHarness, RetryPolicy, TeardownError};
-pub use sdnprobe_parallel::Parallelism;
 pub use sdnprobe_rulegraph::ExpansionCache;
 pub use traffic::TrafficProfile;

@@ -14,11 +14,11 @@
 use std::collections::HashMap;
 
 use sdnprobe_dataplane::{EntryId, Network};
-use sdnprobe_parallel::Parallelism;
 use sdnprobe_rulegraph::RuleGraph;
 use sdnprobe_topology::SwitchId;
 
 use crate::app::DetectError;
+use crate::parallel::Parallelism;
 use crate::probe::{ActiveProbe, ProbeHarness, RetryPolicy};
 
 /// Tunable parameters of a detection run.
@@ -410,7 +410,7 @@ mod tests {
     fn run_detection(net: &mut Network, graph: &RuleGraph, config: ProbeConfig) -> DetectionReport {
         let plan = generate(graph);
         let mut harness = ProbeHarness::new();
-        let probes = harness.install_plan(net, graph, &plan).unwrap();
+        let (probes, _) = harness.install_plan_tolerant(net, graph, &plan).unwrap();
         let mut localizer = FaultLocalizer::new(config);
         localizer.run(net, graph, &mut harness, probes).unwrap()
     }
@@ -555,7 +555,9 @@ mod tests {
         let mut localizer = FaultLocalizer::new(config);
         let mut flagged = false;
         for _ in 0..12 {
-            let probes = harness.install_plan(&mut net, &graph, &plan).unwrap();
+            let (probes, _) = harness
+                .install_plan_tolerant(&mut net, &graph, &plan)
+                .unwrap();
             let report = localizer
                 .run(&mut net, &graph, &mut harness, probes)
                 .unwrap();

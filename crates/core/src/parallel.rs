@@ -1,35 +1,19 @@
-//! Scoped-thread work distribution for the SDNProbe probe pipeline.
+//! Scoped-thread work distribution for the probe pipeline.
 //!
-//! Every hot stage of the pipeline — witness solving, legal-path
-//! expansion, per-probe injection — is a map over independent items, so
-//! this crate provides exactly one primitive: an order-preserving
-//! [`parallel_map`] built on [`std::thread::scope`] with a
-//! work-stealing chunker (an atomic claim counter; idle workers grab the
-//! next unclaimed block). No external dependencies, no unsafe code, no
-//! thread pool to manage: threads live only for the duration of one
-//! call, which keeps the determinism story trivial — output order is
-//! always input order, regardless of the thread count.
+//! The pipeline's two parallel stages, legal-path expansion in
+//! [`crate::generation`] and per-probe injection in
+//! [`crate::ProbeHarness::send_batch`], are maps over independent items,
+//! so this module provides exactly one primitive: an order-preserving
+//! [`parallel_map`] built on [`std::thread::scope`] with a work-stealing
+//! chunker (an atomic claim counter; idle workers grab the next
+//! unclaimed block). No unsafe code and no thread pool to manage:
+//! threads live only for the duration of one call, which keeps the
+//! determinism story trivial — output order is always input order,
+//! regardless of the thread count.
 //!
-//! [`Parallelism`] is the knob the rest of the workspace threads through
-//! configs and CLIs (`--threads N`): `None` means "all available
-//! cores", `Some(1)` means "run inline on the caller's thread".
-//!
-//! # Quick start
-//!
-//! ```
-//! use sdnprobe_parallel::{parallel_map, Parallelism};
-//!
-//! let squares = parallel_map(Parallelism::default(), &[1u64, 2, 3, 4], |x| x * x);
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
-//!
-//! // Forcing one thread produces the same output (order-preserving).
-//! let seq = parallel_map(Parallelism::sequential(), &[1u64, 2, 3, 4], |x| x * x);
-//! assert_eq!(seq, squares);
-//! ```
-
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-#![forbid(unsafe_code)]
+//! [`Parallelism`] is the knob threaded through configs and CLIs
+//! (`--threads N`): `None` means "all available cores", `Some(1)` means
+//! "run inline on the caller's thread".
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -65,26 +49,16 @@ impl Parallelism {
         }
     }
 
-    /// True when work is guaranteed to run on the calling thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == Some(1)
-    }
-
     /// The worker count a job of `items` independent items would use:
     /// the configured cap (or the core count), never more than `items`,
     /// never less than 1.
-    pub fn effective_threads(&self, items: usize) -> usize {
+    fn effective_threads(&self, items: usize) -> usize {
         self.threads
-            .unwrap_or_else(available_threads)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            })
             .clamp(1, items.max(1))
     }
-}
-
-/// Number of hardware threads available to the process (≥ 1).
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Jobs smaller than this run inline: thread spawn/teardown costs more
@@ -96,21 +70,20 @@ const MIN_ITEMS_PER_THREAD: usize = 2;
 ///
 /// Scheduling is a work-stealing chunker: a shared atomic counter hands
 /// out blocks of indices, so a worker that finishes early steals the
-/// next block instead of idling — important because witness queries and
-/// path expansions have wildly varying costs. Blocks shrink with the
+/// next block instead of idling — important because path expansions and
+/// probe traces have wildly varying costs. Blocks shrink with the
 /// thread count (`items / (threads × 8)`, minimum 1) to bound the
 /// imbalance any single block can cause.
 ///
 /// The output is identical to `items.iter().map(f).collect()` for any
 /// thread count — callers rely on this for the pipeline's determinism
-/// guarantee (tested in this crate and in `sdnprobe`'s determinism
-/// suite).
+/// guarantee (tested here and in `tests/parallel_determinism.rs`).
 ///
 /// # Panics
 ///
 /// Propagates a panic from `f` (the first panicking worker's payload is
 /// resumed on the caller).
-pub fn parallel_map<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
+pub(crate) fn parallel_map<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -209,8 +182,8 @@ mod tests {
         assert_eq!(Parallelism::with_threads(8).effective_threads(0), 1);
         assert_eq!(Parallelism::with_threads(0).threads, Some(1));
         assert!(Parallelism::auto().effective_threads(1_000_000) >= 1);
-        assert!(Parallelism::sequential().is_sequential());
-        assert!(!Parallelism::auto().is_sequential() || available_threads() == 1);
+        assert_eq!(Parallelism::sequential().threads, Some(1));
+        assert_eq!(Parallelism::auto().threads, None);
     }
 
     #[test]

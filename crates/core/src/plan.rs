@@ -69,8 +69,8 @@ pub struct PlannedProbe {
 /// rules that cannot be exercised.
 ///
 /// Produced by [`crate::generate`] and its randomized variants; consumed
-/// by [`crate::ProbeHarness::install_plan`]. See the module docs for a
-/// worked example.
+/// by [`crate::ProbeHarness::install_plan_tolerant`]. See the module docs
+/// for a worked example.
 #[derive(Debug, Clone)]
 pub struct TestPlan {
     /// The probes, one per legal cover path.
@@ -84,20 +84,6 @@ impl TestPlan {
     /// Number of test packets — the paper's headline metric (TPC).
     pub fn packet_count(&self) -> usize {
         self.probes.len()
-    }
-
-    /// Total probe bytes sent per round, given a per-probe size.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sdnprobe::TestPlan;
-    ///
-    /// let empty = TestPlan { probes: Vec::new(), shadowed: Vec::new() };
-    /// assert_eq!(empty.bytes_per_round(64), 0);
-    /// ```
-    pub fn bytes_per_round(&self, probe_bytes: usize) -> usize {
-        self.probes.len() * probe_bytes
     }
 
     /// Checks that every non-shadowed vertex of the graph lies on at

@@ -32,10 +32,10 @@ use std::collections::HashMap;
 
 use sdnprobe_dataplane::{Action, EntryId, FlowEntry, Network, NetworkError, TableId};
 use sdnprobe_headerspace::Header;
-use sdnprobe_parallel::{parallel_map, Parallelism};
 use sdnprobe_rulegraph::{RuleGraph, VertexId};
 use sdnprobe_topology::SwitchId;
 
+use crate::parallel::{parallel_map, Parallelism};
 use crate::plan::TestPlan;
 
 /// An installed, sendable probe covering a (sub-)path of rules.
@@ -164,23 +164,6 @@ impl ProbeHarness {
     /// The active retry policy.
     pub fn retry_policy(&self) -> RetryPolicy {
         self.retry
-    }
-
-    /// Installs every probe of a plan; returns the active probes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetworkError`]s from entry installation.
-    pub fn install_plan(
-        &mut self,
-        net: &mut Network,
-        graph: &RuleGraph,
-        plan: &TestPlan,
-    ) -> Result<Vec<ActiveProbe>, NetworkError> {
-        plan.probes
-            .iter()
-            .map(|p| self.install_probe(net, graph, &p.path, p.header))
-            .collect()
     }
 
     /// Installs a plan tolerantly: probes whose instrumentation still
@@ -503,7 +486,9 @@ mod tests {
         let plan = generate(&graph);
         assert_eq!(plan.packet_count(), 1);
         let mut harness = ProbeHarness::new();
-        let probes = harness.install_plan(&mut net, &graph, &plan).unwrap();
+        let (probes, _) = harness
+            .install_plan_tolerant(&mut net, &graph, &plan)
+            .unwrap();
         assert!(harness.send(&net, &probes[0]), "healthy probe must pass");
         // The expected header reflects switch 1's rewrite (bit1 set).
         assert!(probes[0].expected_header.bit(1));
@@ -524,7 +509,9 @@ mod tests {
         );
         let plan = generate(&graph);
         let mut harness = ProbeHarness::new();
-        let probes = harness.install_plan(&mut net, &graph, &plan).unwrap();
+        let (probes, _) = harness
+            .install_plan_tolerant(&mut net, &graph, &plan)
+            .unwrap();
         // Any normal header other than the probe's behaves exactly as
         // before (the paper's non-interference requirement).
         assert_ne!(h, probes[0].header, "test picks a different header");
@@ -541,7 +528,9 @@ mod tests {
         let count_before = net.entry_count();
         let plan = generate(&graph);
         let mut harness = ProbeHarness::new();
-        let probes = harness.install_plan(&mut net, &graph, &plan).unwrap();
+        let (probes, _) = harness
+            .install_plan_tolerant(&mut net, &graph, &plan)
+            .unwrap();
         assert!(net.entry_count() > count_before);
         harness.teardown(&mut net).unwrap();
         assert_eq!(net.entry_count(), count_before);
@@ -565,7 +554,9 @@ mod tests {
         let (mut net, graph) = line3_with_rewrite();
         let plan = generate(&graph);
         let mut harness = ProbeHarness::new();
-        let probes = harness.install_plan(&mut net, &graph, &plan).unwrap();
+        let (probes, _) = harness
+            .install_plan_tolerant(&mut net, &graph, &plan)
+            .unwrap();
         let terminal = *probes[0].path.last().unwrap();
         let terminal_entry = graph.vertex(terminal).entry;
         net.inject_fault(terminal_entry, FaultSpec::new(FaultKind::Drop))
@@ -583,7 +574,9 @@ mod tests {
         let (mut net, graph) = line3_with_rewrite();
         let plan = generate(&graph);
         let mut harness = ProbeHarness::new();
-        let probes = harness.install_plan(&mut net, &graph, &plan).unwrap();
+        let (probes, _) = harness
+            .install_plan_tolerant(&mut net, &graph, &plan)
+            .unwrap();
         let mid_entry = graph.vertex(probes[0].path[1]).entry;
         net.inject_fault(mid_entry, FaultSpec::new(FaultKind::Drop))
             .unwrap();
@@ -601,7 +594,9 @@ mod tests {
         let (mut net, graph) = line3_with_rewrite();
         let plan = generate(&graph);
         let mut harness = ProbeHarness::new();
-        let probes = harness.install_plan(&mut net, &graph, &plan).unwrap();
+        let (probes, _) = harness
+            .install_plan_tolerant(&mut net, &graph, &plan)
+            .unwrap();
         let (left, right) = harness
             .slice(&mut net, &graph, &probes[0])
             .unwrap()
@@ -622,7 +617,9 @@ mod tests {
         let (mut net, graph) = line3_with_rewrite();
         let plan = generate(&graph);
         let mut harness = ProbeHarness::new();
-        let probes = harness.install_plan(&mut net, &graph, &plan).unwrap();
+        let (probes, _) = harness
+            .install_plan_tolerant(&mut net, &graph, &plan)
+            .unwrap();
         let (_, right) = harness
             .slice(&mut net, &graph, &probes[0])
             .unwrap()
@@ -642,7 +639,9 @@ mod tests {
             attempts: 16,
             backoff_ns: 1_000,
         });
-        let probes = harness.install_plan(&mut net, &graph, &plan).unwrap();
+        let (probes, _) = harness
+            .install_plan_tolerant(&mut net, &graph, &plan)
+            .unwrap();
         assert_eq!(probes.len(), 1, "retries must absorb a 40% failure rate");
         assert!(harness.send(&net, &probes[0]));
     }
@@ -678,7 +677,9 @@ mod tests {
             attempts: 0,
             backoff_ns: 1_000,
         });
-        let probes = harness.install_plan(&mut net, &graph, &plan).unwrap();
+        let (probes, _) = harness
+            .install_plan_tolerant(&mut net, &graph, &plan)
+            .unwrap();
         assert_eq!(probes.len(), 1);
         // Make every flow-mod fail: teardown collects failures but does
         // not give up or lose track of the leftovers.

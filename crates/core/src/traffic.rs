@@ -12,12 +12,11 @@
 //! lets Randomized SDNProbe find *targeting* faults quickly, since those
 //! target real flows by definition.
 //!
-//! Feed a profile to [`crate::generate_randomized_weighted`] (or its
-//! `_with` variant for an explicit thread budget), or attach one to a
-//! [`crate::Monitor`] via [`crate::Monitor::traffic_profile_mut`] and
-//! [`crate::Monitor::enable_traffic_weighting`]. Weighted selection is
-//! part of the sequential header-choice stage, so it never perturbs the
-//! pipeline's determinism guarantee (DESIGN.md § Concurrency model).
+//! Feed a profile to [`crate::generate_weighted_with_cache`], or attach
+//! one to a [`crate::Monitor`] via [`crate::Monitor::traffic_profile_mut`]
+//! and [`crate::Monitor::enable_traffic_weighting`]. Weighted selection
+//! is part of the sequential header-choice stage, so it never perturbs
+//! the pipeline's determinism guarantee (DESIGN.md § Concurrency model).
 
 use std::collections::HashMap;
 
@@ -104,12 +103,12 @@ impl TrafficProfile {
     /// no observed header can traverse the path.
     ///
     /// The paper's `HS(ℓ) ∩ h^t(ℓ)` selection.
-    pub fn sample_for_path(
+    pub fn sample_for_path<R: RngCore + ?Sized>(
         &self,
         graph: &RuleGraph,
         path: &[VertexId],
         header_space: &HeaderSet,
-        rng: &mut impl RngCore,
+        rng: &mut R,
     ) -> Option<Header> {
         let mut candidates: Vec<Header> = path
             .iter()

@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sdnprobe::{generate, generate_randomized};
+use sdnprobe::{generate, generate_randomized_with_cache, ExpansionCache, Parallelism};
 use sdnprobe_dataplane::{Action, FlowEntry, Network, TableId};
 use sdnprobe_headerspace::Ternary;
 use sdnprobe_integration::check;
@@ -198,7 +198,12 @@ fn randomized_cover_is_valid() {
         };
         let minimum = generate(&graph).packet_count();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xDEAD);
-        let plan = generate_randomized(&graph, &mut rng);
+        let plan = generate_randomized_with_cache(
+            &graph,
+            &mut rng,
+            &mut ExpansionCache::new(),
+            Parallelism::auto(),
+        );
         assert!(plan.covers_all_rules(&graph));
         assert!(plan.packet_count() >= minimum);
         for p in &plan.probes {

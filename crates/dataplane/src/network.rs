@@ -306,13 +306,6 @@ impl Network {
         self.impairments = impairments;
     }
 
-    /// Builder-style [`Network::set_impairments`].
-    #[must_use]
-    pub fn with_impairments(mut self, impairments: Impairments) -> Self {
-        self.impairments = impairments;
-        self
-    }
-
     /// Rejects `entry` unless its match field is as wide as the entries
     /// installed so far (the first install fixes the width).
     fn check_width(&self, loc: EntryLocation, entry: &FlowEntry) -> Result<(), NetworkError> {
@@ -579,11 +572,6 @@ impl Network {
     /// Removes the fault on an entry, if any.
     pub fn clear_fault(&mut self, id: EntryId) -> Option<FaultSpec> {
         self.faults.remove(&id)
-    }
-
-    /// Removes every injected fault.
-    pub fn clear_all_faults(&mut self) {
-        self.faults.clear();
     }
 
     /// The fault attached to an entry, if any.

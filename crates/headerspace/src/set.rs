@@ -319,7 +319,7 @@ impl HeaderSet {
     /// its cardinality, then a uniform header within it. Headers in the
     /// overlap of two terms are slightly over-weighted; exactness is not
     /// required by any caller (used for randomized probe headers).
-    pub fn sample_header(&self, rng: &mut impl RngCore) -> Option<Header> {
+    pub fn sample_header<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<Header> {
         if self.terms.is_empty() {
             return None;
         }

@@ -298,7 +298,7 @@ impl Ternary {
     }
 
     /// Samples a uniformly random concrete header matching this pattern.
-    pub fn sample_header(&self, rng: &mut impl RngCore) -> Header {
+    pub fn sample_header<R: RngCore + ?Sized>(&self, rng: &mut R) -> Header {
         let mut random = ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128;
         random &= Self::width_mask(self.len);
         Header::new(self.value | (random & !self.care), self.len)

@@ -3,8 +3,8 @@
 //! Provides the switch-level topology model shared by the data-plane
 //! simulator and the rule-graph construction, plus the generators and
 //! path algorithms the paper's evaluation methodology requires:
-//! Rocketfuel-like random router topologies and all-pairs K-shortest
-//! paths for flow-rule synthesis (§VIII).
+//! Rocketfuel-like random router topologies and the K-shortest paths
+//! behind the paper's all-pairs flow-rule synthesis (§VIII).
 //!
 //! # Quick start
 //!

@@ -182,21 +182,6 @@ impl PartialOrd for Candidate {
     }
 }
 
-/// All-pairs K-shortest paths: for every ordered pair `(s, d)`, `s != d`,
-/// up to `k` loopless paths. The paper's §VIII rule synthesis applies
-/// this over its evaluation topologies.
-pub fn all_pairs_k_shortest(topo: &Topology, k: usize) -> Vec<SwitchPath> {
-    let mut out = Vec::new();
-    for s in topo.switches() {
-        for d in topo.switches() {
-            if s != d {
-                out.extend(k_shortest_paths(topo, s, d, k));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,12 +302,5 @@ mod tests {
         let mut t2 = Topology::new(3);
         t2.add_link(SwitchId(0), SwitchId(1));
         assert_eq!(bfs_distances(&t2, SwitchId(0))[2], None);
-    }
-
-    #[test]
-    fn all_pairs_counts() {
-        let t = line(3);
-        // 6 ordered pairs, 1 path each on a line.
-        assert_eq!(all_pairs_k_shortest(&t, 2).len(), 6);
     }
 }

@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sdnprobe::{generate, generate_randomized};
+use sdnprobe::{generate, generate_randomized_with_cache, ExpansionCache, Parallelism};
 use sdnprobe_baselines::{Atpg, PerRuleTester};
 use sdnprobe_rulegraph::RuleGraph;
 use sdnprobe_workloads::{fig8_suite, synthesize, WorkloadSpec};
@@ -23,7 +23,13 @@ fn probe_count_ordering_across_suite() {
 
         let sdn = generate(&graph).packet_count();
         let mut rng = StdRng::seed_from_u64(case.seed);
-        let rand = generate_randomized(&graph, &mut rng).packet_count();
+        let rand = generate_randomized_with_cache(
+            &graph,
+            &mut rng,
+            &mut ExpansionCache::new(),
+            Parallelism::auto(),
+        )
+        .packet_count();
         let atpg = Atpg::new().plan(&graph).paths.len();
         let (per_rule_paths, _) = PerRuleTester::new().plan(&graph);
         let per_rule = per_rule_paths.len();
