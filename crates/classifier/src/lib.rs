@@ -6,10 +6,10 @@
 //! Representative Header Sets", arXiv:1601.07002). It answers the two
 //! queries that dominate SDNProbe's running time:
 //!
-//! - **`lookup`**: the highest-priority pattern matching a concrete
-//!   header, with ties broken by lowest id — the data plane's
-//!   longest-prefix/priority match, in O(header bits) branch walks
-//!   instead of a linear scan over every flow entry.
+//! - **`lookup`**: the id and priority of the highest-priority pattern
+//!   matching a concrete header, with ties broken by lowest id — the
+//!   data plane's longest-prefix/priority match, in O(header bits)
+//!   branch walks instead of a linear scan over every flow entry.
 //! - **`overlaps`**: every stored pattern whose header set intersects a
 //!   query pattern — the candidate set for rule-graph edge construction,
 //!   without pairwise intersection over all co-located rules.
@@ -31,7 +31,7 @@
 //! // "0010xxxx", higher priority.
 //! trie.insert(9, 0b0000_1111, 0b0000_0100, 2, 8);
 //! // Header 00101000 matches both; priority 2 wins.
-//! assert_eq!(trie.lookup(0b0001_0100), Some(9));
+//! assert_eq!(trie.lookup(0b0001_0100), Some((9, 2)));
 //! // Overlap query "0011xxxx" intersects only the 001xxxxx rule.
 //! assert_eq!(trie.overlaps(0b0000_1111, 0b0000_1100), vec![7]);
 //! ```

@@ -10,7 +10,9 @@
 //! Prefix rules fix the low bits, so a /16 ends at depth 16.
 //!
 //! Lookups descend the child matching the header bit plus the wildcard
-//! child and check the items at every node they visit; overlap queries
+//! child and check the items at every node they visit. The walk is a
+//! loop down the header-bit children that leaves each wildcard child on
+//! a fixed stack for later; overlap queries
 //! collect the items at every visited node and descend every child
 //! compatible with the query bit. Each node caches the item count and
 //! maximum priority of its subtree, and the maximum priority of its own
@@ -289,46 +291,69 @@ impl TernaryTrie {
     }
 
     /// The highest-priority pattern matching the concrete header, ties
-    /// broken by lowest id (the data plane's match precedence).
+    /// broken by lowest id (the data plane's match precedence), as
+    /// `(id, priority)`.
     ///
     /// Bits of `header` at or beyond the trie's bit length are ignored.
-    pub fn lookup(&self, header: u128) -> Option<u64> {
+    pub fn lookup(&self, header: u128) -> Option<(u64, u16)> {
         if self.bits == 0 || self.nodes[0].count == 0 {
             return None;
         }
+        // Wildcard children still to visit, as (node, depth). A chain
+        // pushes them at increasing depths and the deepest is popped
+        // first, so the depths on the stack strictly increase: at most
+        // one per bit. Item-bearing nodes of the current chain sit at
+        // distinct depths too.
+        let mut pending = [(0u32, 0u32); MAX_PATH];
+        let mut pending_len = 1;
+        let mut held = [0u32; MAX_PATH];
         let mut best: Option<(u16, u64)> = None;
-        self.lookup_rec(0, 0, header, &mut best);
-        best.map(|(_, id)| id)
-    }
-
-    fn lookup_rec(&self, node: usize, depth: u32, header: u128, best: &mut Option<(u16, u64)>) {
-        let n = &self.nodes[node];
-        // Prune: nothing below can beat a strictly better priority. On
-        // equal priority we must still descend to find a lower id.
-        if let Some((p, _)) = *best {
-            if n.max_priority < p {
-                return;
+        while pending_len > 0 {
+            pending_len -= 1;
+            let (mut node, mut depth) = pending[pending_len];
+            let mut held_len = 0;
+            // Descend the header-bit children. Prune: nothing below can
+            // beat a strictly better priority; on equal priority a lower
+            // id may still be found.
+            loop {
+                let n = &self.nodes[node as usize];
+                if best.is_some_and(|(p, _)| n.max_priority < p) {
+                    break;
+                }
+                if n.leaf != NIL {
+                    held[held_len] = node;
+                    held_len += 1;
+                }
+                if depth == self.bits {
+                    break;
+                }
+                if n.children[WILD] != NIL {
+                    pending[pending_len] = (n.children[WILD], depth + 1);
+                    pending_len += 1;
+                }
+                let next = n.children[(header >> depth & 1) as usize];
+                if next == NIL {
+                    break;
+                }
+                node = next;
+                depth += 1;
             }
-        }
-        if depth < self.bits {
-            let bit = (header >> depth & 1) as usize;
-            if n.children[bit] != NIL {
-                self.lookup_rec(n.children[bit] as usize, depth + 1, header, best);
-            }
-            if n.children[WILD] != NIL {
-                self.lookup_rec(n.children[WILD] as usize, depth + 1, header, best);
-            }
-        }
-        // The node's own items come last: in a longest-prefix table a
-        // longer match found below outranks them, and then `leaf_max`
-        // skips their list without reading it.
-        if n.leaf != NIL && best.is_none_or(|(p, _)| n.leaf_max >= p) {
-            for &(id, priority) in &self.leaves[n.leaf as usize] {
-                if best.is_none_or(|(bp, bid)| priority > bp || (priority == bp && id < bid)) {
-                    *best = Some((priority, id));
+            // Deepest items first: in a longest-prefix table a longer
+            // match outranks the shorter ones, and then `leaf_max` skips
+            // their lists without reading them.
+            for &node in held[..held_len].iter().rev() {
+                let n = &self.nodes[node as usize];
+                if best.is_some_and(|(p, _)| n.leaf_max < p) {
+                    continue;
+                }
+                for &(id, priority) in &self.leaves[n.leaf as usize] {
+                    if best.is_none_or(|(bp, bid)| priority > bp || (priority == bp && id < bid)) {
+                        best = Some((priority, id));
+                    }
                 }
             }
         }
+        best.map(|(priority, id)| (id, priority))
     }
 
     /// Ids of every stored pattern whose header set intersects the
@@ -468,7 +493,7 @@ mod tests {
     }
 
     impl Linear {
-        fn lookup(&self, header: u128) -> Option<u64> {
+        fn lookup(&self, header: u128) -> Option<(u64, u16)> {
             self.rules
                 .iter()
                 .filter(|&&(_, care, value, _)| (header ^ value) & care == 0)
@@ -479,7 +504,7 @@ mod tests {
                         _ => Some((p, id)),
                     },
                 )
-                .map(|(_, id)| id)
+                .map(|(p, id)| (id, p))
         }
 
         fn overlaps(&self, care: u128, value: u128) -> Vec<u64> {
@@ -491,6 +516,16 @@ mod tests {
                 .collect();
             out.sort_unstable();
             out
+        }
+    }
+
+    /// `lookup` against the linear scan, and its priority against the
+    /// one stored under the winning id.
+    fn assert_lookup(trie: &TernaryTrie, linear: &Linear, h: u128) {
+        let got = trie.lookup(h);
+        assert_eq!(got, linear.lookup(h), "header {h:#x}");
+        if let Some((id, priority)) = got {
+            assert_eq!(trie.get(id).map(|(_, _, p)| p), Some(priority));
         }
     }
 
@@ -525,9 +560,9 @@ mod tests {
         insert(&mut trie, 0, "001xxxxx", 1);
         insert(&mut trie, 1, "00100xxx", 5);
         // 00100000 matches both; priority 5 wins.
-        assert_eq!(trie.lookup(0b0000_0100), Some(1));
+        assert_eq!(trie.lookup(0b0000_0100), Some((1, 5)));
         // 00101000 matches only the low-priority rule.
-        assert_eq!(trie.lookup(0b0001_0100), Some(0));
+        assert_eq!(trie.lookup(0b0001_0100), Some((0, 1)));
     }
 
     #[test]
@@ -536,9 +571,9 @@ mod tests {
         insert(&mut trie, 7, "0xxxxxxx", 2);
         insert(&mut trie, 3, "0xxxxxxx", 2);
         insert(&mut trie, 5, "xxxxxxx0", 2);
-        assert_eq!(trie.lookup(0), Some(3));
+        assert_eq!(trie.lookup(0), Some((3, 2)));
         trie.remove(3);
-        assert_eq!(trie.lookup(0), Some(5));
+        assert_eq!(trie.lookup(0), Some((5, 2)));
     }
 
     #[test]
@@ -546,7 +581,7 @@ mod tests {
         let mut trie = TernaryTrie::new();
         insert(&mut trie, 4, "xxxxxxxx", 0);
         for h in [0u128, 1, 0x80, 0xFF] {
-            assert_eq!(trie.lookup(h), Some(4));
+            assert_eq!(trie.lookup(h), Some((4, 0)));
         }
         assert_eq!(trie.overlaps(0, 0), vec![4]);
         // A concrete query still intersects the full wildcard.
@@ -558,13 +593,13 @@ mod tests {
     fn shadowing_rule_takes_over_and_removal_restores() {
         let mut trie = TernaryTrie::new();
         insert(&mut trie, 0, "00xxxxxx", 1);
-        assert_eq!(trie.lookup(0), Some(0));
+        assert_eq!(trie.lookup(0), Some((0, 1)));
         // A higher-priority rule shadows the whole region.
         insert(&mut trie, 1, "0xxxxxxx", 9);
-        assert_eq!(trie.lookup(0), Some(1));
+        assert_eq!(trie.lookup(0), Some((1, 9)));
         // Removing the currently-matching rule falls back to the old one.
         assert!(trie.remove(1));
-        assert_eq!(trie.lookup(0), Some(0));
+        assert_eq!(trie.lookup(0), Some((0, 1)));
         assert!(!trie.remove(1));
     }
 
@@ -572,7 +607,7 @@ mod tests {
     fn removal_of_only_rule_empties_region() {
         let mut trie = TernaryTrie::new();
         insert(&mut trie, 0, "1xxxxxxx", 0);
-        assert_eq!(trie.lookup(1), Some(0));
+        assert_eq!(trie.lookup(1), Some((0, 0)));
         assert!(trie.remove(0));
         assert_eq!(trie.lookup(1), None);
         assert!(trie.is_empty());
@@ -586,7 +621,7 @@ mod tests {
         insert(&mut trie, 0, "1xxxxxxx", 3);
         assert_eq!(trie.len(), 1);
         assert_eq!(trie.lookup(0), None);
-        assert_eq!(trie.lookup(1), Some(0));
+        assert_eq!(trie.lookup(1), Some((0, 3)));
         assert!(trie.contains(0));
         assert_eq!(trie.get(0), Some((1, 1, 3)));
         assert_eq!(trie.get(9), None);
@@ -611,8 +646,8 @@ mod tests {
         let mut trie = TernaryTrie::new();
         // value has bits set where care is clear; they must be ignored.
         trie.insert(0, 0b0011, 0b1101, 0, 4);
-        assert_eq!(trie.lookup(0b0001), Some(0));
-        assert_eq!(trie.lookup(0b1101), Some(0));
+        assert_eq!(trie.lookup(0b0001), Some((0, 0)));
+        assert_eq!(trie.lookup(0b1101), Some((0, 0)));
         assert_eq!(trie.overlaps(0b0011, 0b0001), vec![0]);
     }
 
@@ -629,8 +664,8 @@ mod tests {
         let mut trie = TernaryTrie::new();
         trie.insert(0, u128::MAX, u128::MAX, 1, 128);
         trie.insert(1, 0, 0, 0, 128);
-        assert_eq!(trie.lookup(u128::MAX), Some(0));
-        assert_eq!(trie.lookup(0), Some(1));
+        assert_eq!(trie.lookup(u128::MAX), Some((0, 1)));
+        assert_eq!(trie.lookup(0), Some((1, 0)));
         assert_eq!(trie.overlaps(0, 0), vec![0, 1]);
     }
 
@@ -658,7 +693,7 @@ mod tests {
                 }
                 for _ in 0..20 {
                     let h = rng.next() as u128 & width_mask(bits);
-                    assert_eq!(trie.lookup(h), linear.lookup(h), "header {h:#x}");
+                    assert_lookup(&trie, &linear, h);
                 }
                 let qc = rng.next() as u128 & width_mask(bits);
                 let qv = rng.next() as u128 & qc;
@@ -732,13 +767,13 @@ mod tests {
         // No cared bit: the item sits at the root.
         trie.insert(1, 0, 0, 0, 32);
         assert_eq!(trie.node_count(), 17);
-        assert_eq!(trie.lookup(0x1234_0A0B), Some(0));
-        assert_eq!(trie.lookup(0x1234_0A0C), Some(1));
+        assert_eq!(trie.lookup(0x1234_0A0B), Some((0, 1)));
+        assert_eq!(trie.lookup(0x1234_0A0C), Some((1, 0)));
         assert_eq!(trie.overlaps(0x1_0000, 0x1_0000), vec![0, 1]);
         // Exact match: the full 32 levels.
         trie.insert(2, u32::MAX as u128, 0x1234_0A0B, 5, 32);
         assert_eq!(trie.node_count(), 33);
-        assert_eq!(trie.lookup(0x1234_0A0B), Some(2));
+        assert_eq!(trie.lookup(0x1234_0A0B), Some((2, 5)));
         check_invariants(&trie);
     }
 
@@ -840,7 +875,7 @@ mod tests {
                         }
                         _ => noise,
                     };
-                    assert_eq!(trie.lookup(h), linear.lookup(h), "header {h:#x}");
+                    assert_lookup(&trie, &linear, h);
                 }
                 for _ in 0..4 {
                     let qc = match rng.below(3) {

@@ -16,7 +16,7 @@
 //! "run inline on the caller's thread".
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Thread-count configuration carried through the probe pipeline.
 ///
@@ -49,21 +49,34 @@ impl Parallelism {
         }
     }
 
-    /// The worker count a job of `items` independent items would use:
-    /// the configured cap (or the core count), never more than `items`,
-    /// never less than 1.
+    /// The worker count a job of `items` independent items uses: one
+    /// per [`MIN_ITEMS_PER_THREAD`] items, capped by the configured
+    /// budget (or the core count), never less than 1. A job too small
+    /// for two workers never asks for the core count.
     fn effective_threads(&self, items: usize) -> usize {
+        let by_size = items / MIN_ITEMS_PER_THREAD;
+        if by_size <= 1 {
+            return 1;
+        }
         self.threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            })
-            .clamp(1, items.max(1))
+            .unwrap_or_else(available_cores)
+            .clamp(1, by_size)
     }
 }
 
-/// Jobs smaller than this run inline: thread spawn/teardown costs more
-/// than the work itself.
-const MIN_ITEMS_PER_THREAD: usize = 2;
+/// The machine's core count, read once: `available_parallelism` reads
+/// cgroup files on every call.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
+
+/// Items per worker thread. Two scoped spawns cost tens of
+/// microseconds while a probe send costs about one, so a job gets a
+/// second worker only once it has this many items per worker; smaller
+/// jobs, such as most rounds of sliced probes, run inline.
+const MIN_ITEMS_PER_THREAD: usize = 64;
 
 /// Applies `f` to every item, fanning out across scoped threads, and
 /// returns the results **in input order**.
@@ -90,7 +103,7 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let workers = parallelism.effective_threads(items.len());
-    if workers <= 1 || items.len() < workers * MIN_ITEMS_PER_THREAD {
+    if workers <= 1 {
         return items.iter().map(f).collect();
     }
     let block = (items.len() / (workers * 8)).max(1);
@@ -160,7 +173,11 @@ mod tests {
     #[test]
     fn uneven_work_is_rebalanced() {
         // Costs differ by 1000×; the result must still be ordered.
-        let items: Vec<usize> = (0..256).collect();
+        let items: Vec<usize> = (0..4 * MIN_ITEMS_PER_THREAD).collect();
+        assert_eq!(
+            Parallelism::with_threads(4).effective_threads(items.len()),
+            4
+        );
         let got = parallel_map(Parallelism::with_threads(4), &items, |&i| {
             let spin = if i % 17 == 0 { 10_000 } else { 10 };
             (0..spin).fold(i as u64, |acc, _| acc.wrapping_mul(31).wrapping_add(7))
@@ -177,9 +194,15 @@ mod tests {
 
     #[test]
     fn effective_threads_clamps() {
-        assert_eq!(Parallelism::sequential().effective_threads(100), 1);
-        assert_eq!(Parallelism::with_threads(8).effective_threads(3), 3);
+        let n = MIN_ITEMS_PER_THREAD;
+        assert_eq!(Parallelism::sequential().effective_threads(100 * n), 1);
+        assert_eq!(Parallelism::with_threads(8).effective_threads(3), 1);
         assert_eq!(Parallelism::with_threads(8).effective_threads(0), 1);
+        assert_eq!(Parallelism::with_threads(8).effective_threads(2 * n - 1), 1);
+        assert_eq!(Parallelism::with_threads(8).effective_threads(2 * n), 2);
+        assert_eq!(Parallelism::with_threads(8).effective_threads(3 * n + 1), 3);
+        assert_eq!(Parallelism::with_threads(2).effective_threads(100 * n), 2);
+        assert_eq!(Parallelism::auto().effective_threads(n), 1);
         assert_eq!(Parallelism::with_threads(0).threads, Some(1));
         assert!(Parallelism::auto().effective_threads(1_000_000) >= 1);
         assert_eq!(Parallelism::sequential().threads, Some(1));
@@ -188,7 +211,11 @@ mod tests {
 
     #[test]
     fn panics_propagate() {
-        let items: Vec<u32> = (0..64).collect();
+        let items: Vec<u32> = (0..4 * MIN_ITEMS_PER_THREAD as u32).collect();
+        assert_eq!(
+            Parallelism::with_threads(4).effective_threads(items.len()),
+            4
+        );
         let result = std::panic::catch_unwind(|| {
             parallel_map(Parallelism::with_threads(4), &items, |&i| {
                 assert!(i != 33, "boom");

@@ -290,8 +290,8 @@ impl ProbeHarness {
     /// unmodified. Detection logic must rely only on this boolean (plus
     /// timing), mirroring a real controller.
     pub fn send(&self, net: &Network, probe: &ActiveProbe) -> bool {
-        let trace = net.inject(probe.entry_switch, probe.header);
-        trace.observation() == Some((probe.expected_switch, probe.expected_header))
+        net.observe(probe.entry_switch, probe.header)
+            == Some((probe.expected_switch, probe.expected_header))
     }
 
     /// Sends a whole round of probes, fanning out across `parallelism`

@@ -6,10 +6,13 @@
 //! thread count. See DESIGN.md § Error-prone environment.
 
 use rand::Rng;
-use sdnprobe::{accuracy, DetectionReport, Parallelism, ProbeConfig, SdnProbe};
+use sdnprobe::{accuracy, generate, DetectionReport, Parallelism, ProbeConfig, SdnProbe};
 use sdnprobe_dataplane::Impairments;
 use sdnprobe_integration::check;
-use sdnprobe_workloads::{chaos_case, inject_random_basic_faults, BasicFaultMix, SyntheticNetwork};
+use sdnprobe_rulegraph::RuleGraph;
+use sdnprobe_workloads::{
+    chaos_case, inject_random_basic_faults, BasicFaultMix, SyntheticNetwork, TopologyCase,
+};
 
 fn config(confirm_retries: u32, threads: Option<usize>) -> ProbeConfig {
     ProbeConfig {
@@ -148,8 +151,18 @@ fn chaos_reports_identical_across_thread_counts() {
             .with_loss_rate(0.15)
             .with_ctrl_loss_rate(0.05)
             .with_flowmod_failure_rate(0.10);
+        // 120 flows instead of the chaos case's 48 give 210–217 cover
+        // paths: above the 128 (two workers of 64, `MIN_ITEMS_PER_THREAD`
+        // in `src/parallel.rs`) that the expansion stage and the
+        // first round's sends need before they fan out.
+        let case = TopologyCase {
+            flows: 120,
+            ..chaos_case(seed)
+        };
+        let graph = RuleGraph::from_network(&case.build().network).expect("loop-free workload");
+        assert!(generate(&graph).packet_count() >= 2 * 64, "seed {seed}");
         let run = |threads: Option<usize>| {
-            let mut sn = build(seed);
+            let mut sn = case.build();
             sn.network.set_impairments(chaos);
             canonical(
                 SdnProbe::with_config(config(2, threads))

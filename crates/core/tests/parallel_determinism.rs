@@ -19,13 +19,14 @@ use sdnprobe_topology::generate::rocketfuel_like;
 use sdnprobe_workloads::{synthesize, WorkloadSpec};
 
 /// A mid-size Rocketfuel-like workload: enough cover paths that the
-/// parallel expansion stage actually fans out.
+/// parallel expansion stage actually fans out (see
+/// `plan_is_large_enough_to_fan_out`).
 fn graph() -> RuleGraph {
     let topo = rocketfuel_like(20, 36, 4242);
     let sn = synthesize(
         &topo,
         &WorkloadSpec {
-            flows: 40,
+            flows: 120,
             k: 3,
             nested_fraction: 0.2,
             diversion_fraction: 0.25,
@@ -60,6 +61,18 @@ fn weighted(
     parallelism: Parallelism,
 ) -> TestPlan {
     generate_weighted_with_cache(graph, rng, profile, &mut ExpansionCache::new(), parallelism)
+}
+
+/// The expansion stage gives a worker 64 cover paths
+/// (`MIN_ITEMS_PER_THREAD` in `src/parallel.rs`), so with 208 covers a
+/// budget of 2 threads runs two workers and a budget of 4 or 8 runs
+/// three; a smaller plan would compare the inline path with itself.
+#[test]
+fn plan_is_large_enough_to_fan_out() {
+    assert_eq!(
+        minimum(&graph(), Parallelism::sequential()).packet_count(),
+        208
+    );
 }
 
 #[test]

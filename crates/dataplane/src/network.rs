@@ -9,7 +9,8 @@
 //! Forwarding returns a full [`ForwardingTrace`] (ground truth for
 //! evaluation metrics); detection algorithms must only consume
 //! [`ForwardingTrace::observation`], which is the packet-in event a real
-//! controller would see.
+//! controller would see, or [`Network::observe`], which forwards the
+//! same way and returns only that event.
 
 use std::collections::HashMap;
 
@@ -99,10 +100,7 @@ impl ForwardingTrace {
     /// Fault-localization code must base decisions solely on this (plus
     /// timing), never on the raw trace.
     pub fn observation(&self) -> Option<(SwitchId, Header)> {
-        match self.outcome {
-            Outcome::PacketIn { switch } => Some((switch, self.final_header)),
-            _ => None,
-        }
+        packet_in(self.outcome, self.final_header)
     }
 
     /// The switches traversed, deduplicated in order.
@@ -604,11 +602,40 @@ impl Network {
     ///
     /// Panics if the switch id is out of range.
     pub fn inject(&self, at: SwitchId, header: Header) -> ForwardingTrace {
+        let mut steps = Vec::new();
+        let (outcome, final_header) = self.walk(at, header, |step| steps.push(step));
+        ForwardingTrace {
+            steps,
+            outcome,
+            final_header,
+        }
+    }
+
+    /// What the controller observes of a packet injected at a switch:
+    /// the same forwarding as [`Network::inject`] followed by
+    /// [`ForwardingTrace::observation`], without recording the steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the switch id is out of range.
+    pub fn observe(&self, at: SwitchId, header: Header) -> Option<(SwitchId, Header)> {
+        let (outcome, final_header) = self.walk(at, header, |_| {});
+        packet_in(outcome, final_header)
+    }
+
+    /// The forwarding loop behind [`Network::inject`] and
+    /// [`Network::observe`]: calls `on_step` for every pipeline step and
+    /// returns the terminal outcome with the header at that point.
+    fn walk(
+        &self,
+        at: SwitchId,
+        header: Header,
+        mut on_step: impl FnMut(TraceStep),
+    ) -> (Outcome, Header) {
         assert!(
             at.0 < self.topology.switch_count(),
             "switch {at} out of range"
         );
-        let mut steps = Vec::new();
         let mut switch = at;
         let mut table = TableId(0);
         let mut header = header;
@@ -617,14 +644,9 @@ impl Network {
         let budget = 4 * self.tables.iter().map(Vec::len).sum::<usize>().max(4);
         for _ in 0..budget {
             let Some((id, entry)) = self.tables[switch.0][table.0].lookup(header) else {
-                return ForwardingTrace {
-                    steps,
-                    outcome: Outcome::NoMatch { switch },
-                    final_header: header,
-                };
+                return (Outcome::NoMatch { switch }, header);
             };
-            let entry = *entry;
-            steps.push(TraceStep {
+            on_step(TraceStep {
                 switch,
                 table,
                 entry: id,
@@ -634,13 +656,7 @@ impl Network {
             if let Some(fault) = self.faults.get(&id) {
                 if fault.is_active(self.now_ns, header) {
                     match fault.kind() {
-                        FaultKind::Drop => {
-                            return ForwardingTrace {
-                                steps,
-                                outcome: Outcome::Dropped { switch },
-                                final_header: header,
-                            };
-                        }
+                        FaultKind::Drop => return (Outcome::Dropped { switch }, header),
                         FaultKind::Modify(bad_set) => {
                             // Malicious rewrite, then the normal action.
                             header = Header::new(
@@ -649,34 +665,23 @@ impl Network {
                             );
                         }
                         FaultKind::Misdirect(port) => {
-                            header = apply_set(header, &entry);
-                            match self.topology.peer_of(switch, port) {
-                                Some(peer) => {
-                                    if self
-                                        .impairments
-                                        .link_lost(self.now_ns, header, switch, peer)
-                                    {
-                                        return ForwardingTrace {
-                                            steps,
-                                            outcome: Outcome::LostInTransit {
-                                                from: switch,
-                                                to: peer,
-                                            },
-                                            final_header: header,
-                                        };
-                                    }
-                                    switch = peer;
-                                    table = TableId(0);
-                                    continue;
-                                }
-                                None => {
-                                    return ForwardingTrace {
-                                        steps,
-                                        outcome: Outcome::LeftNetwork { switch, port },
-                                        final_header: header,
-                                    };
-                                }
+                            header = apply_set(header, entry);
+                            let Some(peer) = self.topology.peer_of(switch, port) else {
+                                return (Outcome::LeftNetwork { switch, port }, header);
+                            };
+                            if self
+                                .impairments
+                                .link_lost(self.now_ns, header, switch, peer)
+                            {
+                                let outcome = Outcome::LostInTransit {
+                                    from: switch,
+                                    to: peer,
+                                };
+                                return (outcome, header);
                             }
+                            switch = peer;
+                            table = TableId(0);
+                            continue;
                         }
                         FaultKind::Detour { partner } => {
                             // Out-of-band tunnel: the packet reappears at
@@ -686,72 +691,54 @@ impl Network {
                                 table = TableId(0);
                                 continue;
                             }
-                            return ForwardingTrace {
-                                steps,
-                                outcome: Outcome::Dropped { switch },
-                                final_header: header,
-                            };
+                            return (Outcome::Dropped { switch }, header);
                         }
                     }
                 }
             }
-            header = apply_set(header, &entry);
+            header = apply_set(header, entry);
             match entry.action() {
-                Action::Drop => {
-                    return ForwardingTrace {
-                        steps,
-                        outcome: Outcome::Dropped { switch },
-                        final_header: header,
-                    };
-                }
+                Action::Drop => return (Outcome::Dropped { switch }, header),
                 Action::ToController => {
                     let outcome = if self.impairments.packet_in_lost(self.now_ns, header, switch) {
                         Outcome::PacketInLost { switch }
                     } else {
                         Outcome::PacketIn { switch }
                     };
-                    return ForwardingTrace {
-                        steps,
-                        outcome,
-                        final_header: header,
-                    };
+                    return (outcome, header);
                 }
                 Action::GotoTable(next) => {
                     table = next;
                 }
-                Action::Output(port) => match self.topology.peer_of(switch, port) {
-                    Some(peer) => {
-                        if self
-                            .impairments
-                            .link_lost(self.now_ns, header, switch, peer)
-                        {
-                            return ForwardingTrace {
-                                steps,
-                                outcome: Outcome::LostInTransit {
-                                    from: switch,
-                                    to: peer,
-                                },
-                                final_header: header,
-                            };
-                        }
-                        switch = peer;
-                        table = TableId(0);
-                    }
-                    None => {
-                        return ForwardingTrace {
-                            steps,
-                            outcome: Outcome::LeftNetwork { switch, port },
-                            final_header: header,
+                Action::Output(port) => {
+                    let Some(peer) = self.topology.peer_of(switch, port) else {
+                        return (Outcome::LeftNetwork { switch, port }, header);
+                    };
+                    if self
+                        .impairments
+                        .link_lost(self.now_ns, header, switch, peer)
+                    {
+                        let outcome = Outcome::LostInTransit {
+                            from: switch,
+                            to: peer,
                         };
+                        return (outcome, header);
                     }
-                },
+                    switch = peer;
+                    table = TableId(0);
+                }
             }
         }
-        ForwardingTrace {
-            steps,
-            outcome: Outcome::TtlExceeded,
-            final_header: header,
-        }
+        (Outcome::TtlExceeded, header)
+    }
+}
+
+/// The controller's view of a terminal outcome: the packet-in's switch
+/// and header, or nothing.
+fn packet_in(outcome: Outcome, final_header: Header) -> Option<(SwitchId, Header)> {
+    match outcome {
+        Outcome::PacketIn { switch } => Some((switch, final_header)),
+        _ => None,
     }
 }
 

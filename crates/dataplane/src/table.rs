@@ -7,32 +7,30 @@ use sdnprobe_headerspace::{Header, Ternary};
 
 use crate::flow::{EntryId, FlowEntry};
 
-/// A single OpenFlow-style flow table: a precedence-sorted entry list
-/// plus a [`TernaryTrie`] over the match fields, so [`lookup`](Self::lookup)
-/// walks O(header bits) trie branches instead of scanning every entry.
-/// An entry's slot is found by binary search on its precedence key, so
-/// a mutation never touches the other entries.
+/// A single OpenFlow-style flow table: precedence keys and entries in
+/// two parallel sorted vectors, plus a [`TernaryTrie`] over the match
+/// fields, so [`lookup`](Self::lookup) walks O(header bits) trie
+/// branches instead of scanning every entry. An entry's slot is found by
+/// binary search on its 16-byte precedence key, so a mutation never
+/// touches the other entries.
 ///
 /// Lookup returns the highest-priority matching entry; ties are broken
 /// by installation order (earlier wins), matching common switch
 /// behaviour. All entries share one header length.
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable {
-    /// Sorted by (priority desc, id asc).
-    entries: Vec<(EntryId, FlowEntry)>,
+    /// Precedence keys, sorted: priority descending, then id ascending.
+    keys: Vec<(Reverse<u16>, EntryId)>,
+    /// The entries, in the order of `keys`.
+    entries: Vec<FlowEntry>,
     /// Match-field trie; ids are the raw `EntryId` values.
     trie: TernaryTrie,
 }
 
-/// Precedence key: priority descending, then id ascending.
-fn key((id, e): &(EntryId, FlowEntry)) -> (Reverse<u16>, EntryId) {
-    (Reverse(e.priority()), *id)
-}
-
 impl PartialEq for FlowTable {
     fn eq(&self, other: &Self) -> bool {
-        // The trie is a function of `entries`.
-        self.entries == other.entries
+        // The trie is a function of `keys` and `entries`.
+        self.keys == other.keys && self.entries == other.entries
     }
 }
 
@@ -56,22 +54,24 @@ impl FlowTable {
 
     /// Iterates over `(id, entry)` in match-precedence order.
     pub fn iter(&self) -> impl Iterator<Item = (EntryId, &FlowEntry)> {
-        self.entries.iter().map(|(id, e)| (*id, e))
+        self.keys.iter().map(|&(_, id)| id).zip(&self.entries)
     }
 
-    /// Position of `id` in `entries`; its priority comes from the trie.
-    fn slot(&self, id: EntryId) -> Option<usize> {
+    /// Position of the entry stored under `(priority, id)`.
+    fn slot(&self, priority: u16, id: EntryId) -> Option<usize> {
+        self.keys.binary_search(&(Reverse(priority), id)).ok()
+    }
+
+    /// Position of `id`; its priority comes from the trie.
+    fn slot_of(&self, id: EntryId) -> Option<usize> {
         let (_, _, priority) = self.trie.get(id.0)?;
-        self.entries
-            .binary_search_by_key(&(Reverse(priority), id), key)
-            .ok()
+        self.slot(priority, id)
     }
 
     /// Inserts an entry under the given id, keeping precedence order.
     pub(crate) fn insert(&mut self, id: EntryId, entry: FlowEntry) {
-        let pos = self
-            .entries
-            .partition_point(|x| key(x) < (Reverse(entry.priority()), id));
+        let key = (Reverse(entry.priority()), id);
+        let pos = self.keys.partition_point(|k| *k < key);
         let m = entry.match_field();
         self.trie.insert(
             id.0,
@@ -80,27 +80,29 @@ impl FlowTable {
             entry.priority(),
             m.len(),
         );
-        self.entries.insert(pos, (id, entry));
+        self.keys.insert(pos, key);
+        self.entries.insert(pos, entry);
     }
 
     /// Removes an entry by id; returns it if present.
     pub(crate) fn remove(&mut self, id: EntryId) -> Option<FlowEntry> {
-        let pos = self.slot(id)?;
+        let pos = self.slot_of(id)?;
         self.trie.remove(id.0);
-        Some(self.entries.remove(pos).1)
+        self.keys.remove(pos);
+        Some(self.entries.remove(pos))
     }
 
     /// Looks up an entry by id.
     pub fn get(&self, id: EntryId) -> Option<&FlowEntry> {
-        self.slot(id).map(|pos| &self.entries[pos].1)
+        self.slot_of(id).map(|pos| &self.entries[pos])
     }
 
     /// Replaces an entry (same id), returning the old one. With match
     /// and priority unchanged (a MODIFY_STRICT) the slot is overwritten
     /// in place; otherwise the entry moves to its new precedence slot.
     pub(crate) fn replace(&mut self, id: EntryId, entry: FlowEntry) -> Option<FlowEntry> {
-        let pos = self.slot(id)?;
-        let slot = &mut self.entries[pos].1;
+        let pos = self.slot_of(id)?;
+        let slot = &mut self.entries[pos];
         if slot.priority() == entry.priority() && slot.match_field() == entry.match_field() {
             return Some(std::mem::replace(slot, entry));
         }
@@ -141,23 +143,12 @@ impl FlowTable {
     /// toward the lowest id.
     ///
     /// Resolved by the match-field trie in O(header bits) branch walks;
-    /// the winning id maps back to its slot by binary search.
-    /// Results are identical to [`lookup_linear`](Self::lookup_linear).
+    /// the trie also returns the winner's priority, which locates its
+    /// slot by binary search over the precedence keys.
     pub fn lookup(&self, header: Header) -> Option<(EntryId, &FlowEntry)> {
-        let id = EntryId(self.trie.lookup(header.bits())?);
-        self.get(id).map(|e| (id, e))
-    }
-
-    /// Reference implementation of [`lookup`](Self::lookup): a linear
-    /// scan of the precedence-ordered entry list.
-    ///
-    /// Kept public so differential tests and benchmarks can pin the trie
-    /// against it; not intended for production callers.
-    pub fn lookup_linear(&self, header: Header) -> Option<(EntryId, &FlowEntry)> {
-        self.entries
-            .iter()
-            .find(|(_, e)| e.match_field().matches(header))
-            .map(|(id, e)| (*id, e))
+        let (id, priority) = self.trie.lookup(header.bits())?;
+        let id = EntryId(id);
+        self.slot(priority, id).map(|pos| (id, &self.entries[pos]))
     }
 }
 
@@ -272,7 +263,9 @@ mod tests {
             let h = Header::new(bits, 8);
             assert_eq!(
                 tab.lookup(h).map(|(id, _)| id),
-                tab.lookup_linear(h).map(|(id, _)| id),
+                tab.iter()
+                    .find(|(_, e)| e.match_field().matches(h))
+                    .map(|(id, _)| id),
                 "divergence at {h:?}"
             );
         }
