@@ -149,9 +149,9 @@ struct LegalMatcher<'g> {
     shadowed: Vec<VertexId>,
     /// Expansion memo: the matching phase re-probes cover paths that
     /// grow one closure edge at a time, so nearly every legality check
-    /// resumes from a cached prefix. Owned by the matcher while it runs
-    /// (the parallel expansion stage only reads it); callers may hand in
-    /// a warm memo from an earlier run and take it back after.
+    /// resumes from a cached prefix. Owned by the matcher while it runs;
+    /// callers may hand in a warm memo from an earlier run and take it
+    /// back after.
     cache: ExpansionCache,
     /// Reusable cover-path scratch so every legality probe doesn't
     /// allocate a fresh `Vec`.
@@ -335,34 +335,31 @@ fn build_plan(
     parallelism: Parallelism,
 ) -> TestPlan {
     let covers = matcher.cover_paths();
-    // Stage 1 (sequential): make sure every matched cover path's
-    // canonical expansion is memoized. The matcher probed every final
-    // chain, so this settles in the memo almost everywhere — it only
-    // re-derives paths whose cached proof was a non-canonical witness —
-    // and on a reused cache it is pure lookups. Doing it through the
-    // cache (rather than per-cover in stage 2) is what lets those
+    // Stage 1 (sequential): each matched cover path's canonical
+    // expansion. The matcher probed every final chain, so this is a memo
+    // lookup almost everywhere — it only re-derives paths whose cached
+    // proof was a non-canonical witness — and on a reused cache it is
+    // pure lookups. Going through the cache is what lets those
     // derivations survive into later runs.
-    for cover in &covers {
-        graph
-            .expand_cover_path_cached(cover, &mut matcher.cache)
-            .expect("matcher maintains the legality invariant");
-    }
-    // Stage 2 (parallel): hand out each cover path's expansion. Reads
-    // only the immutable graph and the now-settled memo, so the fan-out
-    // cannot change any result; `parallel_map` returns them in cover
-    // order.
-    let cache = &matcher.cache;
-    let expanded: Vec<(Vec<VertexId>, HeaderSet)> = parallel_map(parallelism, &covers, |cover| {
-        graph
-            .peek_expansion(cover, cache)
-            .expect("stage 1 memoized every cover path")
-    });
-    // Stage 2 (sequential, in cover order): header selection consumes
+    let paths: Vec<Vec<VertexId>> = covers
+        .iter()
+        .map(|cover| {
+            graph
+                .expand_cover_path_cached(cover, &mut matcher.cache)
+                .expect("matcher maintains the legality invariant")
+        })
+        .collect();
+    // Stage 2 (parallel): each path's entry header space, a backward
+    // projection over the immutable graph, so the fan-out cannot change
+    // any result; `parallel_map` returns them in cover order.
+    let spaces: Vec<HeaderSet> =
+        parallel_map(parallelism, &paths, |path| graph.path_entry_space(path));
+    // Stage 3 (sequential, in cover order): header selection consumes
     // the RNG and deduplicates against `taken`, so it must run in the
     // original order to keep plans bit-identical across thread counts.
     let mut probes = Vec::new();
     let mut taken = TakenHeaders::default();
-    for (cover, (path, header_space)) in covers.into_iter().zip(expanded) {
+    for ((cover, path), header_space) in covers.into_iter().zip(paths).zip(spaces) {
         let header = choose_header(graph, &path, &header_space, &taken, strategy)
             // Header spaces exhausted by uniqueness constraints are
             // practically impossible (spaces ≫ probe count); fall back to
@@ -427,10 +424,20 @@ fn choose_header(
     picked.or_else(|| solve_unique(space, taken))
 }
 
+/// A header of `space` no other probe carries. Each term's query gets
+/// only the taken headers inside that term, in insertion order: the
+/// solver drops the others anyway, so the clause list and the answer are
+/// the same, without a scan over every taken header inside the solver.
 fn solve_unique(space: &HeaderSet, taken: &TakenHeaders) -> Option<Header> {
     space.terms().iter().find_map(|t| {
         WitnessQuery::new(*t)
-            .avoid_all(taken.ordered.iter().map(|h| Ternary::from_header(*h)))
+            .avoid_all(
+                taken
+                    .ordered
+                    .iter()
+                    .filter(|h| t.matches(**h))
+                    .map(|h| Ternary::from_header(*h)),
+            )
             .solve()
     })
 }

@@ -187,7 +187,8 @@ impl FaultLocalizer {
     /// later virtual time, so benign deterministic loss re-draws) and
     /// any successful confirmation clears it for the round. Sub-probe
     /// installation retries transient flow-mod failures per the
-    /// configured policy; a probe whose slices still cannot be
+    /// harness's policy (set with [`ProbeHarness::with_retry_policy`];
+    /// this run does not change it); a probe whose slices still cannot be
     /// installed is quarantined into [`DetectionReport::degraded`]
     /// rather than aborting the run.
     ///
@@ -204,7 +205,6 @@ impl FaultLocalizer {
         harness: &mut ProbeHarness,
         initial: Vec<ActiveProbe>,
     ) -> Result<DetectionReport, DetectError> {
-        harness.set_retry_policy(self.config.retry_policy());
         let mut report = DetectionReport::default();
         let full_set = initial.clone();
         let mut active = initial;

@@ -148,22 +148,12 @@ impl ProbeHarness {
         }
     }
 
-    /// Builder-style [`ProbeHarness::set_retry_policy`].
+    /// Sets the retry policy applied to every flow-mod the harness
+    /// issues.
     #[must_use]
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
-    }
-
-    /// Sets the retry policy applied to every flow-mod the harness
-    /// issues.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Installs a plan tolerantly: probes whose instrumentation still

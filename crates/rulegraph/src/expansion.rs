@@ -112,11 +112,6 @@ enum CacheEntry {
         /// Lazily memoized backward requirement of `real[1..]` at
         /// `real[0]`'s output — see [`CacheEntry::Witness`].
         tail_entry: Option<HeaderSet>,
-        /// Lazily memoized entry header space of `real` (what
-        /// [`RuleGraph::expand_cover_path`] returns alongside the path),
-        /// so handing out a memoized expansion skips the backward
-        /// projection.
-        entry_set: Option<HeaderSet>,
     },
     /// Some valid expansion (from overlap composition), answering
     /// liveness probes only. `end_set` lazily memoizes the chained set
@@ -238,7 +233,6 @@ impl ExpansionCache {
                                 real,
                                 end_set,
                                 tail_entry: None,
-                                entry_set: None,
                             },
                         );
                     }
@@ -254,31 +248,22 @@ impl ExpansionCache {
 }
 
 impl RuleGraph {
-    /// Cached [`expand_cover_path`](Self::expand_cover_path): identical
-    /// results (the same real path and entry header space), with repeated
-    /// probes over shared cover-path structure answered from memoized
-    /// state.
+    /// Cached [`expand_cover_path`](Self::expand_cover_path): the same
+    /// real path, with repeated probes over shared cover-path structure
+    /// answered from memoized state. The entry header space is not
+    /// memoized; [`path_entry_space`](Self::path_entry_space) of the
+    /// returned path gives it.
     pub fn expand_cover_path_cached(
         &self,
         cover: &[VertexId],
         cache: &mut ExpansionCache,
-    ) -> Option<(Vec<VertexId>, HeaderSet)> {
+    ) -> Option<Vec<VertexId>> {
         if !self.probe(cover, cache) {
             return None;
         }
         let key: Box<[usize]> = cover.iter().map(|v| v.0).collect();
-        match cache.map.get_mut(&key) {
-            Some(CacheEntry::Alive {
-                real, entry_set, ..
-            }) => {
-                let real = real.clone();
-                if entry_set.is_none() {
-                    *entry_set = Some(self.path_entry_space(&real));
-                }
-                let hs = entry_set.clone().expect("just filled");
-                debug_assert!(!hs.is_empty());
-                Some((real, hs))
-            }
+        match cache.map.get(&key) {
+            Some(CacheEntry::Alive { real, .. }) => Some(real.clone()),
             Some(CacheEntry::Witness { .. }) => {
                 // The entry is a liveness witness, not necessarily the
                 // first-in-DFS-order expansion — re-derive the canonical
@@ -295,18 +280,15 @@ impl RuleGraph {
                     .expect("probe proved an expansion exists");
                 cache.visited = visited;
                 cache.absorb(&key, trace, false);
-                let hs = self.path_entry_space(&real);
-                debug_assert!(!hs.is_empty());
                 cache.map.insert(
                     key,
                     CacheEntry::Alive {
                         real: real.clone(),
                         end_set,
                         tail_entry: None,
-                        entry_set: Some(hs.clone()),
                     },
                 );
-                Some((real, hs))
+                Some(real)
             }
             _ => unreachable!("probe recorded a live entry for this cover path"),
         }
@@ -324,36 +306,6 @@ impl RuleGraph {
             return self.has_closure_edge(cover[0], cover[1]);
         }
         self.probe(cover, cache)
-    }
-
-    /// Read-only cache lookup: the memoized expansion for `cover`, if
-    /// the cache holds a current-generation canonical entry.
-    /// Bit-identical to [`expand_cover_path`](Self::expand_cover_path)
-    /// when it hits; never runs the DFS. Safe to call from parallel
-    /// read-only stages.
-    pub fn peek_expansion(
-        &self,
-        cover: &[VertexId],
-        cache: &ExpansionCache,
-    ) -> Option<(Vec<VertexId>, HeaderSet)> {
-        if cache.generation != self.generation() {
-            return None;
-        }
-        let key: Vec<usize> = cover.iter().map(|v| v.0).collect();
-        match cache.map.get(key.as_slice()) {
-            Some(CacheEntry::Alive {
-                real, entry_set, ..
-            }) => {
-                let real = real.clone();
-                let hs = match entry_set {
-                    Some(hs) => hs.clone(),
-                    None => self.path_entry_space(&real),
-                };
-                debug_assert!(!hs.is_empty());
-                Some((real, hs))
-            }
-            _ => None,
-        }
     }
 
     /// The chained header set at the end of a real path, starting from
@@ -415,7 +367,6 @@ impl RuleGraph {
                                 real,
                                 end_set,
                                 tail_entry: None,
-                                entry_set: None,
                             },
                         );
                         return true;
@@ -648,7 +599,6 @@ impl RuleGraph {
                         real,
                         end_set,
                         tail_entry: None,
-                        entry_set: None,
                     },
                 );
                 true

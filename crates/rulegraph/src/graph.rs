@@ -16,7 +16,7 @@ use std::collections::{HashMap, VecDeque};
 
 use sdnprobe_classifier::TernaryTrie;
 use sdnprobe_dataplane::{Action, EntryId, FlowEntry, FlowTable, Network, TableId};
-use sdnprobe_headerspace::{HeaderSet, Ternary};
+use sdnprobe_headerspace::HeaderSet;
 use sdnprobe_topology::SwitchId;
 
 use crate::bitset::VisitSet;
@@ -76,19 +76,15 @@ pub struct RuleGraph {
     /// Alive vertices per (switch, table), for edge rebuilding.
     pub(crate) by_location: HashMap<(SwitchId, TableId), Vec<VertexId>>,
     /// Alive vertices whose output port leads *to* a switch (the
-    /// reverse of `next_switch`), so in-edge rebuilding collects
-    /// candidates without scanning every vertex in the graph.
+    /// reverse of `next_switch`): every in-edge of a vertex on that
+    /// switch starts at one of them, so an incremental update re-runs
+    /// their out-edge queries instead of scanning the whole graph.
     pub(crate) by_next_switch: HashMap<SwitchId, Vec<VertexId>>,
     /// Per-switch trie over vertex match fields. A vertex's resolved
     /// input space is always a subset of its match field, so
     /// `overlaps(pattern)` yields a superset of the vertices whose
     /// input intersects `pattern` — the out-edge candidate set.
     pub(crate) in_tries: HashMap<SwitchId, TernaryTrie>,
-    /// Per-*target*-switch trie over `T(match, set)` patterns of the
-    /// vertices forwarding to that switch. Every output-space term is a
-    /// subset of `T(match, set)`, so this bounds in-edge candidates the
-    /// same way.
-    pub(crate) out_tries: HashMap<SwitchId, TernaryTrie>,
     /// Step-1 out-edges.
     pub(crate) step1: Vec<Vec<VertexId>>,
     /// Step-1 in-edges (for incremental updates).
@@ -124,7 +120,6 @@ impl Clone for RuleGraph {
             by_location: self.by_location.clone(),
             by_next_switch: self.by_next_switch.clone(),
             in_tries: self.in_tries.clone(),
-            out_tries: self.out_tries.clone(),
             step1: self.step1.clone(),
             step1_rev: self.step1_rev.clone(),
             closure: self.closure.clone(),
@@ -209,7 +204,6 @@ impl RuleGraph {
             by_location,
             by_next_switch: HashMap::new(),
             in_tries: HashMap::new(),
-            out_tries: HashMap::new(),
             step1: vec![Vec::new(); n],
             step1_rev: vec![Vec::new(); n],
             closure: vec![Vec::new(); n],
@@ -223,10 +217,10 @@ impl RuleGraph {
         Ok(graph)
     }
 
-    /// Registers a live vertex in the classifier indexes (`in_tries`,
-    /// `out_tries`, `by_next_switch`). Both trie keys are derived from
-    /// the vertex's immutable match/set fields, so the indexes stay
-    /// valid when resolved input/output spaces are recomputed.
+    /// Registers a live vertex in the classifier index (`in_tries`) and
+    /// in `by_next_switch`. The trie key is the vertex's immutable match
+    /// field, so the index stays valid when resolved input/output spaces
+    /// are recomputed.
     pub(crate) fn index_vertex(&mut self, id: VertexId) {
         let Some(vert) = self.vertices[id.0].as_ref() else {
             return;
@@ -240,14 +234,6 @@ impl RuleGraph {
             m.len(),
         );
         if let Some(peer) = vert.next_switch {
-            let out = out_pattern(vert);
-            self.out_tries.entry(peer).or_default().insert(
-                id.0 as u64,
-                out.care_mask(),
-                out.value_bits(),
-                0,
-                out.len(),
-            );
             self.by_next_switch.entry(peer).or_default().push(id);
         }
     }
@@ -263,13 +249,8 @@ impl RuleGraph {
         if let Some(trie) = self.in_tries.get_mut(&switch) {
             trie.remove(id.0 as u64);
         }
-        if let Some(peer) = next_switch {
-            if let Some(trie) = self.out_tries.get_mut(&peer) {
-                trie.remove(id.0 as u64);
-            }
-            if let Some(list) = self.by_next_switch.get_mut(&peer) {
-                list.retain(|&x| x != id);
-            }
+        if let Some(list) = next_switch.and_then(|peer| self.by_next_switch.get_mut(&peer)) {
+            list.retain(|&x| x != id);
         }
     }
 
@@ -387,9 +368,10 @@ impl RuleGraph {
     ///
     /// Equals [`path_header_space`](Self::path_header_space) whenever the
     /// path is already known to be legal (the forward pass only gates the
-    /// empty case), which lets the expansion DFS — whose chained sets
-    /// were non-empty at every step — skip re-running the forward chain.
-    pub(crate) fn path_entry_space(&self, path: &[VertexId]) -> HeaderSet {
+    /// empty case), which lets callers holding an expansion — whose
+    /// chained sets were non-empty at every step — skip re-running the
+    /// forward chain.
+    pub fn path_entry_space(&self, path: &[VertexId]) -> HeaderSet {
         let mut required = HeaderSet::full(self.header_len);
         for &v in path.iter().rev() {
             let vert = self.vertex(v);
@@ -505,40 +487,13 @@ impl RuleGraph {
         None
     }
 
-    /// Rebuilds every step-1 edge from scratch, collecting candidate
-    /// pairs from the per-switch classifier tries.
-    ///
-    /// The result is the same edge set as
-    /// [`rebuild_all_edges_linear`](Self::rebuild_all_edges_linear):
-    /// the trie only bounds the candidates, and every candidate still
-    /// passes the exact `out ∩ in ≠ ∅` header-space check.
-    pub fn rebuild_all_edges(&mut self) {
+    /// Builds every step-1 edge of a graph that has none yet,
+    /// collecting candidate pairs from the per-switch classifier tries.
+    fn rebuild_all_edges(&mut self) {
         self.generation += 1;
-        let n = self.vertices.len();
-        self.step1 = vec![Vec::new(); n];
-        self.step1_rev = vec![Vec::new(); n];
         let ids: Vec<VertexId> = self.vertex_ids().collect();
-        for &u in &ids {
+        for u in ids {
             self.rebuild_out_edges(u);
-        }
-    }
-
-    /// Reference implementation of [`rebuild_all_edges`]
-    /// (pairwise intersection over co-located vertices, no trie).
-    ///
-    /// Kept public so differential tests and benchmarks can pin the
-    /// classifier index against it; not intended for production
-    /// callers.
-    ///
-    /// [`rebuild_all_edges`]: Self::rebuild_all_edges
-    pub fn rebuild_all_edges_linear(&mut self) {
-        self.generation += 1;
-        let n = self.vertices.len();
-        self.step1 = vec![Vec::new(); n];
-        self.step1_rev = vec![Vec::new(); n];
-        let ids: Vec<VertexId> = self.vertex_ids().collect();
-        for &u in &ids {
-            self.rebuild_out_edges_linear(u);
         }
     }
 
@@ -564,12 +519,15 @@ impl RuleGraph {
     /// inputs already encode that reachability, so every vertex on the
     /// peer whose match field intersects `T(u.match, u.set)` is a
     /// candidate — collected from the peer's match-field trie instead
-    /// of scanning every co-located vertex.
+    /// of scanning every co-located vertex. `T(u.match, u.set)` is a
+    /// sound query: every term of `u.out = T(u.in, u.set)` lies inside
+    /// it, since `u.in ⊆ u.match` and `T` preserves subsets. Candidates
+    /// come back in ascending id order, and so does the edge list.
     pub(crate) fn rebuild_out_edges(&mut self, u: VertexId) {
         let Some((vert, peer)) = self.clear_out_edges(u) else {
             return;
         };
-        let query = out_pattern(vert);
+        let query = vert.match_field.apply_set_field(&vert.set_field);
         let candidates = match self.in_tries.get(&peer) {
             Some(trie) => trie.overlaps(query.care_mask(), query.value_bits()),
             None => return,
@@ -582,100 +540,6 @@ impl RuleGraph {
             let vert = self.vertices[u.0].as_ref().expect("u is live");
             let cand = self.vertices[v.0].as_ref().expect("indexed vertex is live");
             if vert.output.intersects(&cand.input) {
-                self.step1[u.0].push(v);
-                self.step1_rev[v.0].push(u);
-            }
-        }
-    }
-
-    /// Reference implementation of [`rebuild_out_edges`]: pairwise
-    /// intersection against every vertex on the peer switch.
-    ///
-    /// [`rebuild_out_edges`]: Self::rebuild_out_edges
-    pub(crate) fn rebuild_out_edges_linear(&mut self, u: VertexId) {
-        let Some((_, peer)) = self.clear_out_edges(u) else {
-            return;
-        };
-        let candidates: Vec<VertexId> = self
-            .by_location
-            .iter()
-            .filter(|((s, _), _)| *s == peer)
-            .flat_map(|(_, vs)| vs.iter().copied())
-            .collect();
-        for v in candidates {
-            if v == u {
-                continue;
-            }
-            let vert = self.vertices[u.0].as_ref().expect("u is live");
-            let Some(cand) = self.vertices[v.0].as_ref() else {
-                continue;
-            };
-            if !vert.output.intersect(&cand.input).is_empty() {
-                self.step1[u.0].push(v);
-                self.step1_rev[v.0].push(u);
-            }
-        }
-    }
-
-    /// Clears the in-edges of `v`, returning its hosting switch when
-    /// the vertex is live.
-    fn clear_in_edges(&mut self, v: VertexId) -> Option<SwitchId> {
-        let switch = self.vertices[v.0].as_ref()?.switch;
-        let preds: Vec<VertexId> = std::mem::take(&mut self.step1_rev[v.0]);
-        for p in preds {
-            self.step1[p.0].retain(|&x| x != v);
-        }
-        Some(switch)
-    }
-
-    /// Recomputes the in-edges of a vertex: candidates are vertices
-    /// forwarding toward this vertex's switch whose `T(match, set)`
-    /// pattern intersects this vertex's match field, collected from the
-    /// switch's output-pattern trie.
-    pub(crate) fn rebuild_in_edges(&mut self, v: VertexId) {
-        let Some(switch) = self.clear_in_edges(v) else {
-            return;
-        };
-        let query = self.vertices[v.0].as_ref().expect("v is live").match_field;
-        let candidates = match self.out_tries.get(&switch) {
-            Some(trie) => trie.overlaps(query.care_mask(), query.value_bits()),
-            None => return,
-        };
-        for cand_id in candidates {
-            let u = VertexId(cand_id as usize);
-            if u == v {
-                continue;
-            }
-            let input = &self.vertices[v.0].as_ref().expect("v is live").input;
-            let cand = self.vertices[u.0].as_ref().expect("indexed vertex is live");
-            if cand.output.intersects(input) {
-                self.step1[u.0].push(v);
-                self.step1_rev[v.0].push(u);
-            }
-        }
-    }
-
-    /// Reference implementation of [`rebuild_in_edges`]: every vertex
-    /// in the `by_next_switch` reverse index for this vertex's switch
-    /// is re-evaluated pairwise.
-    ///
-    /// [`rebuild_in_edges`]: Self::rebuild_in_edges
-    #[cfg(test)]
-    pub(crate) fn rebuild_in_edges_linear(&mut self, v: VertexId) {
-        let Some(switch) = self.clear_in_edges(v) else {
-            return;
-        };
-        let candidates = self
-            .by_next_switch
-            .get(&switch)
-            .cloned()
-            .unwrap_or_default();
-        let input = self.vertex(v).input.clone();
-        for u in candidates {
-            if u == v {
-                continue;
-            }
-            if !self.vertex(u).output.intersect(&input).is_empty() {
                 self.step1[u.0].push(v);
                 self.step1_rev[v.0].push(u);
             }
@@ -998,14 +862,6 @@ pub(crate) fn effective_inputs(
         }
     }
     Ok(out)
-}
-
-/// The ternary pattern `T(r.m, r.s)` every packet emitted by `r`
-/// satisfies: each term of `r.out = T(r.in, r.s)` is a subset of it
-/// (since `r.in ⊆ r.m` and `T` preserves subsets), so it is a sound
-/// trie key for out-edge candidate queries.
-pub(crate) fn out_pattern(v: &RuleVertex) -> Ternary {
-    v.match_field.apply_set_field(&v.set_field)
 }
 
 /// `r.in = r.m − ⋃_{q >o r} q.m` over the hosting table; ties broken by
@@ -1490,32 +1346,6 @@ mod tests {
         assert_eq!(stats.max_len, 4);
         assert!(stats.total_paths >= 4.0);
         assert!(stats.avg_len > 1.0 && stats.avg_len <= 4.0);
-    }
-
-    #[test]
-    fn trie_and_linear_edge_rebuilds_agree() {
-        use std::collections::BTreeSet;
-        let (net, _) = figure3();
-        let mut g = RuleGraph::from_network(&net).unwrap();
-        let fingerprint = |g: &RuleGraph| -> BTreeSet<(usize, usize)> {
-            g.vertex_ids()
-                .flat_map(|u| g.successors(u).iter().map(move |v| (u.0, v.0)))
-                .collect()
-        };
-        let via_trie = fingerprint(&g);
-        g.rebuild_all_edges_linear();
-        let via_linear = fingerprint(&g);
-        assert_eq!(via_trie, via_linear);
-        assert!(!via_trie.is_empty());
-        // Per-vertex in-edge rebuilds agree too.
-        for v in g.vertex_ids().collect::<Vec<_>>() {
-            g.rebuild_in_edges(v);
-        }
-        assert_eq!(fingerprint(&g), via_linear);
-        for v in g.vertex_ids().collect::<Vec<_>>() {
-            g.rebuild_in_edges_linear(v);
-        }
-        assert_eq!(fingerprint(&g), via_linear);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //!
 //! 1. the inputs of lower-precedence overlapping rules in the same table
 //!    (their `r.in` shrinks or grows),
-//! 2. step-1 edges incident to those vertices, and
+//! 2. step-1 edges incident to those vertices: the out-edges of every
+//!    vertex on the changed switch and of every vertex forwarding into
+//!    it, re-queried through the same classifier index the build uses,
+//!    and
 //! 3. legal-closure rows of every vertex whose reachable region touches
 //!    the change: the affected vertices, their step-1 ancestors, and
 //!    every vertex whose old row holds an affected vertex.
@@ -16,6 +19,7 @@
 //! Equivalence with from-scratch construction is enforced by tests.
 
 use sdnprobe_dataplane::{Action, EntryId, EntryLocation, FlowEntry, Network};
+use sdnprobe_topology::SwitchId;
 
 use crate::error::RuleGraphError;
 use crate::graph::{effective_inputs, RuleGraph};
@@ -58,18 +62,29 @@ impl RuleGraph {
         update: &RuleUpdate,
     ) -> Result<(), RuleGraphError> {
         self.generation += 1;
-        let affected = match update {
-            RuleUpdate::Added { entry } => self.apply_added(net, *entry)?,
+        let (switch, mut affected) = match update {
+            RuleUpdate::Added { entry } => (self.apply_added(net, *entry), Vec::new()),
             RuleUpdate::Removed {
                 entry,
                 old,
                 location,
-            } => self.apply_removed(net, *entry, old, *location)?,
+            } => (location.switch, self.apply_removed(*entry, old, *location)?),
         };
-        // Rebuild edges around the affected vertices.
-        for &v in &affected {
+        // Any change to a switch's tables can reshape effective inputs
+        // across its whole pipeline (goto chains, shadowing): recompute
+        // every vertex on the switch.
+        affected.extend(self.recompute_switch(net, switch)?);
+        // Every edge that can change starts at an affected vertex or ends
+        // at one; the latter start at vertices forwarding into `switch`.
+        // Re-query all their out-edges once each, in ascending id order,
+        // so the result never depends on map iteration order and every
+        // successor list stays ascending, as a fresh build leaves it.
+        let mut requery = affected.clone();
+        requery.extend(self.by_next_switch.get(&switch).into_iter().flatten());
+        requery.sort_unstable();
+        requery.dedup();
+        for v in requery {
             self.rebuild_out_edges(v);
-            self.rebuild_in_edges(v);
         }
         let order = self.check_acyclic()?;
         // Closure: recompute every source whose reachable region touches
@@ -102,12 +117,8 @@ impl RuleGraph {
         Ok(())
     }
 
-    /// Registers a newly installed entry; returns the affected vertices.
-    fn apply_added(
-        &mut self,
-        net: &Network,
-        entry: EntryId,
-    ) -> Result<Vec<VertexId>, RuleGraphError> {
+    /// Registers a newly installed entry; returns its switch.
+    fn apply_added(&mut self, net: &Network, entry: EntryId) -> SwitchId {
         let loc = net.location(entry).expect("entry was just installed");
         let new = net
             .entry(entry)
@@ -140,16 +151,13 @@ impl RuleGraph {
             self.closure.push(Vec::new());
             self.index_vertex(id);
         }
-        // Any change to a switch's tables can reshape effective inputs
-        // across its whole pipeline (goto chains, shadowing): recompute
-        // every vertex on the switch.
-        self.recompute_switch(net, loc.switch)
+        loc.switch
     }
 
-    /// Unregisters a removed entry; returns the affected vertices.
+    /// Unregisters a removed entry; returns its former step-1
+    /// predecessors, whose closure rows held it.
     fn apply_removed(
         &mut self,
-        net: &Network,
         entry: EntryId,
         old: &FlowEntry,
         location: EntryLocation,
@@ -162,9 +170,7 @@ impl RuleGraph {
             }
             for p in std::mem::take(&mut self.step1_rev[dead.0]) {
                 self.step1[p.0].retain(|&x| x != dead);
-                if !affected.contains(&p) {
-                    affected.push(p);
-                }
+                affected.push(p);
             }
             self.closure[dead.0].clear();
             if let Some(list) = self.by_location.get_mut(&(location.switch, location.table)) {
@@ -176,11 +182,6 @@ impl RuleGraph {
         } else if matches!(old.action(), Action::Output(_)) {
             return Err(RuleGraphError::UnknownEntry(entry));
         }
-        for v in self.recompute_switch(net, location.switch)? {
-            if !affected.contains(&v) {
-                affected.push(v);
-            }
-        }
         Ok(affected)
     }
 
@@ -189,7 +190,7 @@ impl RuleGraph {
     fn recompute_switch(
         &mut self,
         net: &Network,
-        switch: sdnprobe_topology::SwitchId,
+        switch: SwitchId,
     ) -> Result<Vec<VertexId>, RuleGraphError> {
         let inputs = effective_inputs(net, switch)?;
         let ids: Vec<VertexId> = self
@@ -444,6 +445,76 @@ mod tests {
                         assert_eq!(incremental.vertex_count(), 0);
                     }
                     Err(e) => panic!("unexpected scratch error {e:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn successor_lists_stay_ascending_across_updates() {
+        // Forwarding rules in both tables of every switch (table 0's sit
+        // above a goto into table 1), so an update re-derives in-edges
+        // from vertices in two tables of one switch. The expansion DFS
+        // walks successor lists in order, so that order must not depend
+        // on the process.
+        let mut rng = StdRng::seed_from_u64(4711);
+        for round in 0..40 {
+            let mut topo = Topology::new(3);
+            topo.add_link(SwitchId(0), SwitchId(1));
+            topo.add_link(SwitchId(1), SwitchId(2));
+            let mut net = Network::new(topo);
+            let mut t1 = Vec::new();
+            for s in 0..3 {
+                let t = net.add_table(SwitchId(s)).unwrap();
+                t1.push(t);
+                net.install(
+                    SwitchId(s),
+                    TableId(0),
+                    FlowEntry::new(Ternary::wildcard(8), Action::GotoTable(t)),
+                )
+                .unwrap();
+            }
+            let install_random = |net: &mut Network, rng: &mut StdRng| -> EntryId {
+                let s = rng.gen_range(0..3usize);
+                let m = Ternary::prefix(rng.gen::<u8>() as u128, rng.gen_range(0..=4), 8);
+                let port = match net.topology().port_towards(SwitchId(s), SwitchId(s + 1)) {
+                    Some(p) if rng.gen_bool(0.7) => p,
+                    _ => PortId(40),
+                };
+                let (table, priority) = if rng.gen_bool(0.5) {
+                    (TableId(0), rng.gen_range(1..5))
+                } else {
+                    (t1[s], rng.gen_range(0..4))
+                };
+                let e = FlowEntry::new(m, Action::Output(port)).with_priority(priority);
+                net.install(SwitchId(s), table, e).unwrap()
+            };
+            let mut installed: Vec<EntryId> =
+                (0..8).map(|_| install_random(&mut net, &mut rng)).collect();
+            let mut g = RuleGraph::from_network(&net).unwrap();
+            for step in 0..10 {
+                if installed.len() > 2 && rng.gen_bool(0.4) {
+                    let id = installed.swap_remove(rng.gen_range(0..installed.len()));
+                    let location = net.location(id).unwrap();
+                    let old = net.remove(id).unwrap();
+                    let update = RuleUpdate::Removed {
+                        entry: id,
+                        old,
+                        location,
+                    };
+                    g.apply_update(&net, &update).unwrap();
+                } else {
+                    let id = install_random(&mut net, &mut rng);
+                    installed.push(id);
+                    g.apply_update(&net, &RuleUpdate::Added { entry: id })
+                        .unwrap();
+                }
+                for u in g.vertex_ids() {
+                    let succs = g.successors(u);
+                    assert!(
+                        succs.windows(2).all(|w| w[0] < w[1]),
+                        "successors of {u} out of order at round {round} step {step}: {succs:?}"
+                    );
                 }
             }
         }

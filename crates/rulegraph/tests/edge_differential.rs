@@ -1,13 +1,10 @@
 //! Differential property tests pinning the trie-accelerated step-1
-//! edge construction to the pairwise reference implementation.
+//! edge construction to a pairwise reference.
 //!
-//! [`RuleGraph::rebuild_all_edges`] collects candidates from per-switch
-//! classifier tries; [`RuleGraph::rebuild_all_edges_linear`] scans every
-//! co-located vertex. Both must produce the exact same edge *set* on
+//! [`RuleGraph::from_network`] and [`RuleGraph::apply_update`] collect
+//! edge candidates from per-switch classifier tries; the reference here
+//! checks every vertex pair. Both must give the exact same edge *set* on
 //! any policy, including ones mutated through the incremental path.
-//!
-//! [`RuleGraph::rebuild_all_edges`]: sdnprobe_rulegraph::RuleGraph::rebuild_all_edges
-//! [`RuleGraph::rebuild_all_edges_linear`]: sdnprobe_rulegraph::RuleGraph::rebuild_all_edges_linear
 
 use sdnprobe_integration::check;
 use std::collections::BTreeSet;
@@ -67,6 +64,26 @@ fn edge_set(g: &RuleGraph) -> BTreeSet<(u64, u64)> {
         .collect()
 }
 
+/// Pairwise reference for the step-1 edges, with no classifier index:
+/// `u → v` iff `u` forwards to `v`'s switch, `u ≠ v`, and
+/// `u.output ∩ v.input ≠ ∅`. Keyed by entry ids like [`edge_set`].
+fn pairwise_edge_set(g: &RuleGraph) -> BTreeSet<(u64, u64)> {
+    let mut edges = BTreeSet::new();
+    for u in g.vertex_ids() {
+        let from = g.vertex(u);
+        for v in g.vertex_ids() {
+            let to = g.vertex(v);
+            if u != v
+                && from.next_switch == Some(to.switch)
+                && !from.output.intersect(&to.input).is_empty()
+            {
+                edges.insert((from.entry.0, to.entry.0));
+            }
+        }
+    }
+    edges
+}
+
 const CASES: u32 = 80;
 
 /// Trie-collected edges equal pairwise edges on random policies.
@@ -75,12 +92,10 @@ fn trie_edges_equal_pairwise_edges() {
     check(CASES, 1, |rng| {
         let seed = rng.gen_range(0u64..4_000);
         let net = random_network(seed, 5, 14);
-        let Ok(mut g) = RuleGraph::from_network(&net) else {
+        let Ok(g) = RuleGraph::from_network(&net) else {
             return; // no forwarding rules at this seed
         };
-        let via_trie = edge_set(&g);
-        g.rebuild_all_edges_linear();
-        assert_eq!(via_trie, edge_set(&g));
+        assert_eq!(edge_set(&g), pairwise_edge_set(&g));
     });
 }
 
@@ -124,15 +139,12 @@ fn trie_edges_equal_pairwise_after_incremental_updates() {
                 g.apply_update(&net, &RuleUpdate::Added { entry: id })
                     .expect("host egress never loops");
             }
+            // The incrementally maintained edges, a fresh build of the
+            // mutated network and the pairwise reference must coincide.
             let incremental_edges = edge_set(&g);
-            // Full trie rebuild and full linear rebuild on the mutated
-            // graph must all coincide.
-            g.rebuild_all_edges();
-            let full_trie = edge_set(&g);
-            g.rebuild_all_edges_linear();
-            let full_linear = edge_set(&g);
-            assert_eq!(&incremental_edges, &full_trie);
-            assert_eq!(&full_trie, &full_linear);
+            let scratch = RuleGraph::from_network(&net).expect("rules remain, none loop");
+            assert_eq!(&incremental_edges, &edge_set(&scratch));
+            assert_eq!(&incremental_edges, &pairwise_edge_set(&g));
         }
     });
 }

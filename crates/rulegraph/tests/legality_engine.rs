@@ -117,7 +117,10 @@ fn assert_probe_identical(
         expect.is_some(),
         "expandability mismatch on {cover:?} (seed {seed})"
     );
-    let got = graph.expand_cover_path_cached(cover, cache);
+    let got = graph.expand_cover_path_cached(cover, cache).map(|real| {
+        let hs = graph.path_entry_space(&real);
+        (real, hs)
+    });
     assert_eq!(got, expect, "expansion mismatch on {cover:?} (seed {seed})");
 }
 
