@@ -191,7 +191,9 @@ impl ScenarioSpec {
     /// Returns [`SpecError::Invalid`] when indices are out of range,
     /// patterns fail to parse, a set field's width differs from its
     /// match, the network rejects a rule (e.g. a match width differs from
-    /// the earlier rules'), or a forward target is not adjacent.
+    /// the earlier rules'), a forward target is not adjacent, two faults
+    /// name one rule, or an activation names a missing fault, a fault
+    /// that already has one, or a time too large to count in nanoseconds.
     pub fn build(&self) -> Result<(Network, Vec<EntryId>), SpecError> {
         let mut topo = Topology::new(self.topology.switches);
         for &(a, b) in &self.topology.links {
@@ -243,11 +245,48 @@ impl ScenarioSpec {
                 .map_err(|e| SpecError::Invalid(format!("rule {i}: {e}")))?;
             entries.push(id);
         }
-        for (fi, fault) in self.faults.iter().enumerate() {
+        let mut activations: Vec<Option<Activation>> = vec![None; self.faults.len()];
+        for (ai, act) in self.activations.iter().enumerate() {
+            let bad = |m: String| SpecError::Invalid(format!("activation {ai}: {m}"));
+            let (fault, activation) = match act {
+                ActivationSpec::Intermittent {
+                    fault,
+                    period_ms,
+                    active_ms,
+                } => {
+                    let ns = |what: &str, ms: u64| {
+                        ms.checked_mul(1_000_000)
+                            .ok_or_else(|| bad(format!("{what} of {ms} ms overflows nanoseconds")))
+                    };
+                    let timing = Activation::Intermittent {
+                        period_ns: ns("period", *period_ms)?,
+                        active_ns: ns("active window", *active_ms)?,
+                    };
+                    (*fault, timing)
+                }
+                ActivationSpec::Targeting { fault, pattern } => {
+                    let victims = pattern.parse().map_err(|e| bad(format!("{e}")))?;
+                    (*fault, Activation::Targeting(victims))
+                }
+            };
+            match activations.get_mut(fault) {
+                None => return Err(bad(format!("fault {fault} missing"))),
+                Some(Some(_)) => {
+                    return Err(bad(format!("fault {fault} already has an activation")))
+                }
+                Some(slot) => *slot = Some(activation),
+            }
+        }
+        for (fi, (fault, activation)) in self.faults.iter().zip(activations).enumerate() {
             let rule = fault.rule();
             let &entry = entries
                 .get(rule)
                 .ok_or_else(|| SpecError::Invalid(format!("fault {fi}: rule {rule} missing")))?;
+            if net.fault(entry).is_some() {
+                return Err(SpecError::Invalid(format!(
+                    "fault {fi}: rule {rule} already has a fault"
+                )));
+            }
             let kind = match fault {
                 FaultSpecDef::Drop { .. } => FaultKind::Drop,
                 FaultSpecDef::Modify { set_field, .. } => FaultKind::Modify(
@@ -261,27 +300,8 @@ impl ScenarioSpec {
                 },
             };
             let mut spec = FaultSpec::new(kind);
-            for act in &self.activations {
-                match act {
-                    ActivationSpec::Intermittent {
-                        fault,
-                        period_ms,
-                        active_ms,
-                    } if *fault == fi => {
-                        spec = spec.with_activation(Activation::Intermittent {
-                            period_ns: period_ms * 1_000_000,
-                            active_ns: active_ms * 1_000_000,
-                        });
-                    }
-                    ActivationSpec::Targeting { fault, pattern } if *fault == fi => {
-                        spec = spec.with_activation(Activation::Targeting(
-                            pattern
-                                .parse()
-                                .map_err(|e| SpecError::Invalid(format!("fault {fi}: {e}")))?,
-                        ));
-                    }
-                    _ => {}
-                }
+            if let Some(activation) = activation {
+                spec = spec.with_activation(activation);
             }
             net.inject_fault(entry, spec)
                 .map_err(|e| SpecError::Invalid(format!("fault {fi}: {e}")))?;
@@ -559,6 +579,65 @@ mod tests {
             net.inject(SwitchId(0), Header::new(0b100, 8)).outcome,
             Outcome::LeftNetwork { .. }
         ));
+    }
+
+    /// Asserts that the sample with one drop fault and `activations`
+    /// fails to build with exactly `reason`.
+    fn assert_activations_rejected(activations: Vec<ActivationSpec>, reason: &str) {
+        let mut spec = sample();
+        spec.faults.push(FaultSpecDef::Drop { rule: 1 });
+        spec.activations = activations;
+        let err = spec.build().unwrap_err().to_string();
+        assert_eq!(err, format!("invalid scenario: {reason}"));
+    }
+
+    #[test]
+    fn activation_for_a_missing_fault_is_rejected() {
+        let act = ActivationSpec::Targeting {
+            fault: 7,
+            pattern: "00000000".into(),
+        };
+        assert_activations_rejected(vec![act], "activation 0: fault 7 missing");
+    }
+
+    #[test]
+    fn second_activation_for_a_fault_is_rejected() {
+        let intermittent = ActivationSpec::Intermittent {
+            fault: 0,
+            period_ms: 10,
+            active_ms: 5,
+        };
+        let targeting = ActivationSpec::Targeting {
+            fault: 0,
+            pattern: "00000000".into(),
+        };
+        assert_activations_rejected(
+            vec![intermittent, targeting],
+            "activation 1: fault 0 already has an activation",
+        );
+    }
+
+    #[test]
+    fn second_fault_on_a_rule_is_rejected() {
+        let mut spec = sample();
+        spec.faults.push(FaultSpecDef::Drop { rule: 1 });
+        spec.faults
+            .push(FaultSpecDef::Misdirect { rule: 1, port: 7 });
+        let err = spec.build().unwrap_err().to_string();
+        assert_eq!(err, "invalid scenario: fault 1: rule 1 already has a fault");
+    }
+
+    #[test]
+    fn overflowing_period_is_rejected() {
+        let act = ActivationSpec::Intermittent {
+            fault: 0,
+            period_ms: 1 << 63,
+            active_ms: 5,
+        };
+        assert_activations_rejected(
+            vec![act],
+            "activation 0: period of 9223372036854775808 ms overflows nanoseconds",
+        );
     }
 
     #[test]

@@ -216,6 +216,7 @@ impl RandomizedSdnProbe {
             graph_ns,
             localizer: FaultLocalizer::new(self.config),
             rng: StdRng::seed_from_u64(self.seed),
+            cache: ExpansionCache::new(),
         })
     }
 
@@ -243,6 +244,8 @@ pub struct RandomizedSession {
     graph_ns: u64,
     localizer: FaultLocalizer,
     rng: StdRng,
+    /// The legality memo every round's plan reuses; see `step_inner`.
+    cache: ExpansionCache,
 }
 
 impl RandomizedSession {
@@ -290,16 +293,14 @@ impl RandomizedSession {
     ) -> Result<DetectionReport, DetectError> {
         let started = Instant::now();
         let parallelism = self.localizer.config().parallelism;
-        // A fresh memo per round, dropped before the round runs: one held
-        // across rounds keeps growing.
-        let (graph, rng) = (&self.graph, &mut self.rng);
+        // One memo for the whole session: every entry is a pure function
+        // of the graph, which stays the same across rounds, so each round
+        // re-plans warm and gets the plan a fresh memo would give. The
+        // memo saturates at the cover paths the matcher can probe.
+        let (graph, rng, cache) = (&self.graph, &mut self.rng, &mut self.cache);
         let plan = match profile {
-            Some(p) => {
-                generate_weighted_with_cache(graph, rng, p, &mut ExpansionCache::new(), parallelism)
-            }
-            None => {
-                generate_randomized_with_cache(graph, rng, &mut ExpansionCache::new(), parallelism)
-            }
+            Some(p) => generate_weighted_with_cache(graph, rng, p, cache, parallelism),
+            None => generate_randomized_with_cache(graph, rng, cache, parallelism),
         };
         let generation_ns = started.elapsed().as_nanos() as u64;
         // Each step runs localization to quiescence on this round's

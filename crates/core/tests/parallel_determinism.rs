@@ -200,6 +200,52 @@ fn warm_cache_plans_identical_to_fresh() {
 }
 
 #[test]
+fn session_held_cache_matches_fresh_rounds() {
+    // A randomized session lends one memo to every round's plan while its
+    // RNG stream continues. Each round must equal the plan a fresh memo
+    // gives from an identically advanced RNG.
+    let graph = graph();
+    let mut profile = TrafficProfile::new(64);
+    for probe in &minimum(&graph, Parallelism::sequential()).probes {
+        profile.record(probe.entry_switch, probe.header);
+    }
+    let mut held = ExpansionCache::new();
+    let mut session_rng = StdRng::seed_from_u64(2018);
+    let mut fresh_rng = StdRng::seed_from_u64(2018);
+    for round in 0..40 {
+        let warm = generate_randomized_with_cache(
+            &graph,
+            &mut session_rng,
+            &mut held,
+            Parallelism::sequential(),
+        );
+        let cold = randomized(&graph, &mut fresh_rng, Parallelism::sequential());
+        assert_eq!(fingerprint(&warm), fingerprint(&cold), "round {round}");
+    }
+    for round in 0..40 {
+        let warm = generate_weighted_with_cache(
+            &graph,
+            &mut session_rng,
+            &profile,
+            &mut held,
+            Parallelism::sequential(),
+        );
+        let cold = weighted(&graph, &mut fresh_rng, &profile, Parallelism::sequential());
+        assert_eq!(
+            fingerprint(&warm),
+            fingerprint(&cold),
+            "weighted round {round}"
+        );
+    }
+    assert!(
+        held.hits() > held.misses(),
+        "{} hits, {} misses",
+        held.hits(),
+        held.misses()
+    );
+}
+
+#[test]
 fn warm_cache_does_not_validate_against_another_graph() {
     // Same topology and workload, but a different graph instance: the
     // memo must invalidate instead of serving stale entries.

@@ -7,8 +7,11 @@
 //! splices a new head onto an already-validated chain (a *splice*
 //! probe). [`ExpansionCache`] remembers, per exact cover path, either
 //! that no legal expansion exists (`Dead`), the first-in-DFS-order
-//! expansion together with its fully chained header set (`Alive`), or
-//! some valid expansion that answers liveness only (`Witness`).
+//! expansion (`Alive`), or some valid expansion that answers liveness
+//! only (`Witness`). Entries hold real paths only: the chained header
+//! set at a path's end is recomputed from the path when an entry seeds
+//! an extension or a splice head, which keeps an entry at 32 bytes
+//! inline and lets one memo live for a whole randomized session.
 //!
 //! Liveness of a composite path factorizes at any cover vertex: a
 //! cached real path through the prefix ends in a chained set `S`, a
@@ -62,11 +65,11 @@ use crate::bitset::VisitSet;
 use crate::graph::RuleGraph;
 use crate::vertex::VertexId;
 
-/// FNV-1a folding one word at a time — cover-path keys are short
-/// `usize` slices, where this beats the default SipHash severalfold.
-/// The hasher is fixed and deterministic; map iteration order is never
-/// observable (the cache only gets and inserts).
-#[derive(Debug, Default, Clone)]
+/// FNV-1a folding one byte at a time — cover-path keys are short `u32`
+/// slices, where this beats the default SipHash severalfold. The hasher
+/// is fixed and deterministic; map iteration order is never observable
+/// (the cache only gets and inserts).
+#[derive(Debug, Default)]
 struct KeyHashBuilder;
 
 #[derive(Debug)]
@@ -96,35 +99,49 @@ impl BuildHasher for KeyHashBuilder {
     }
 }
 
-/// Cached outcome for one exact cover path.
-#[derive(Debug, Clone)]
+/// A vertex id as the memo stores it, in keys and real paths.
+fn id32(v: VertexId) -> u32 {
+    u32::try_from(v.0).expect("rule graphs hold fewer than 2^32 vertices")
+}
+
+/// A path in the memo's `u32` form.
+fn pack(path: &[VertexId]) -> Box<[u32]> {
+    path.iter().map(|&v| id32(v)).collect()
+}
+
+/// A stored path back as vertex ids.
+fn unpack(path: &[u32]) -> Vec<VertexId> {
+    path.iter().map(|&v| VertexId(v as usize)).collect()
+}
+
+/// Cached outcome for one exact cover path. No header set is stored
+/// inline: the chained set at the end of `real` is recomputed with
+/// `chain_along` on the rare probes that need it.
+#[derive(Debug)]
 enum CacheEntry {
     /// No legal simple expansion exists. Always derived from an
     /// exhaustive search or a sound proof of death, so liveness answers
     /// are exact.
     Dead,
-    /// The *first-in-DFS-order* expansion and its end-of-path chained
-    /// set. Only these may seed resumed searches or be returned as the
-    /// expansion itself.
+    /// The *first-in-DFS-order* expansion. Only these may seed resumed
+    /// searches or be returned as the expansion itself.
     Alive {
-        real: Vec<VertexId>,
-        end_set: HeaderSet,
+        real: Box<[u32]>,
         /// Lazily memoized backward requirement of `real[1..]` at
-        /// `real[0]`'s output — see [`CacheEntry::Witness`].
-        tail_entry: Option<HeaderSet>,
+        /// `real[0]`'s output, for use as a suffix in splice probes.
+        tail_entry: Option<Box<HeaderSet>>,
     },
     /// Some valid expansion (from overlap composition), answering
-    /// liveness probes only. `end_set` lazily memoizes the chained set
-    /// at the end of `real` (for use as a prefix in extension probes);
-    /// `tail_entry` lazily memoizes the backward requirement of
-    /// `real[1..]` at `real[0]`'s output (for use as a suffix in splice
-    /// probes).
+    /// liveness probes only; `tail_entry` as for `Alive`.
     Witness {
-        real: Vec<VertexId>,
-        end_set: Option<HeaderSet>,
-        tail_entry: Option<HeaderSet>,
+        real: Box<[u32]>,
+        tail_entry: Option<Box<HeaderSet>>,
     },
 }
+
+// A session holds one memo for its whole life, so an entry must not
+// silently grow back to carrying header sets inline.
+const _: () = assert!(std::mem::size_of::<CacheEntry>() <= 32);
 
 /// First-completion snapshots collected during one traced DFS run: the
 /// state at the *first* entry of each segment boundary `b` (prefix
@@ -135,9 +152,10 @@ enum CacheEntry {
 /// first-completion subtree of the previous one).
 #[derive(Debug, Default)]
 pub(crate) struct PrefixTrace {
-    /// `snaps[b - 2]` covers boundary `b`; only proper prefixes of
-    /// length ≥ 2 are recorded (the full path is keyed separately).
-    snaps: Vec<Option<(Vec<VertexId>, HeaderSet)>>,
+    /// `snaps[b - 2]` is the real path at boundary `b`; only proper
+    /// prefixes of length ≥ 2 are recorded (the full path is keyed
+    /// separately).
+    snaps: Vec<Option<Box<[u32]>>>,
 }
 
 impl PrefixTrace {
@@ -147,13 +165,13 @@ impl PrefixTrace {
         }
     }
 
-    /// Snapshot the state on the first entry at boundary `seg`.
-    pub(crate) fn record(&mut self, seg: usize, real: &[VertexId], set: &HeaderSet) {
+    /// Snapshot the real path on the first entry at boundary `seg`.
+    pub(crate) fn record(&mut self, seg: usize, real: &[VertexId]) {
         if seg < 2 {
             return;
         }
         if let Some(slot @ None) = self.snaps.get_mut(seg - 2) {
-            *slot = Some((real.to_vec(), set.clone()));
+            *slot = Some(pack(real));
         }
     }
 }
@@ -165,14 +183,14 @@ impl PrefixTrace {
 /// reused across any number of generation runs over the same graph —
 /// answers (and the expansions handed out) are identical whether the
 /// cache is fresh, warm, or shared between the deterministic and
-/// randomized generators. It is tied to one graph *state*: entries are
-/// dropped automatically when the graph's
-/// [`generation`](RuleGraph::generation) moves (edge rebuilds,
-/// incremental updates).
-#[derive(Debug, Clone, Default)]
+/// randomized generators. A randomized session holds one for its whole
+/// life. It is tied to one graph *state*: entries are dropped
+/// automatically when the graph's [`generation`](RuleGraph::generation)
+/// moves (edge rebuilds, incremental updates).
+#[derive(Debug, Default)]
 pub struct ExpansionCache {
     generation: u64,
-    map: HashMap<Box<[usize]>, CacheEntry, KeyHashBuilder>,
+    map: HashMap<Box<[u32]>, CacheEntry, KeyHashBuilder>,
     visited: VisitSet,
     hits: u64,
     misses: u64,
@@ -204,11 +222,6 @@ impl ExpansionCache {
         self.misses
     }
 
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
     /// Invalidates the cache if the graph has mutated since last use.
     fn sync(&mut self, graph: &RuleGraph) {
         if self.generation != graph.generation() {
@@ -217,31 +230,46 @@ impl ExpansionCache {
         }
     }
 
+    /// A live entry's real path and its tail requirement, which the
+    /// caller has already filled.
+    fn live_tail(&self, key: &[u32]) -> (&[u32], &HeaderSet) {
+        match self.map.get(key) {
+            Some(CacheEntry::Alive {
+                real,
+                tail_entry: Some(req),
+            })
+            | Some(CacheEntry::Witness {
+                real,
+                tail_entry: Some(req),
+            }) => (real, req),
+            _ => unreachable!("splice suffix is live with its tail requirement filled"),
+        }
+    }
+
     /// Folds one traced DFS run into the memo: every snapshot is an
     /// `Alive` entry for its prefix. When `dead_unreached` is set (an
     /// exhausted from-scratch run), boundaries the DFS never entered
     /// have provably no expansion and become `Dead` entries.
-    fn absorb(&mut self, key: &[usize], trace: PrefixTrace, dead_unreached: bool) {
+    fn absorb(&mut self, key: &[u32], trace: PrefixTrace, dead_unreached: bool) {
         for (i, snap) in trace.snaps.into_iter().enumerate() {
             let prefix = &key[..i + 2];
+            if self.map.contains_key(prefix) {
+                continue;
+            }
             match snap {
-                Some((real, end_set)) => {
-                    if !self.map.contains_key(prefix) {
-                        self.map.insert(
-                            prefix.into(),
-                            CacheEntry::Alive {
-                                real,
-                                end_set,
-                                tail_entry: None,
-                            },
-                        );
-                    }
+                Some(real) => {
+                    self.map.insert(
+                        prefix.into(),
+                        CacheEntry::Alive {
+                            real,
+                            tail_entry: None,
+                        },
+                    );
                 }
-                None => {
-                    if dead_unreached && !self.map.contains_key(prefix) {
-                        self.map.insert(prefix.into(), CacheEntry::Dead);
-                    }
+                None if dead_unreached => {
+                    self.map.insert(prefix.into(), CacheEntry::Dead);
                 }
+                None => {}
             }
         }
     }
@@ -261,9 +289,9 @@ impl RuleGraph {
         if !self.probe(cover, cache) {
             return None;
         }
-        let key: Box<[usize]> = cover.iter().map(|v| v.0).collect();
+        let key = pack(cover);
         match cache.map.get(&key) {
-            Some(CacheEntry::Alive { real, .. }) => Some(real.clone()),
+            Some(CacheEntry::Alive { real, .. }) => Some(unpack(real)),
             Some(CacheEntry::Witness { .. }) => {
                 // The entry is a liveness witness, not necessarily the
                 // first-in-DFS-order expansion — re-derive the canonical
@@ -275,16 +303,14 @@ impl RuleGraph {
                 let mut real = vec![cover[0]];
                 let start = self.vertex(cover[0]).output.clone();
                 let mut trace = PrefixTrace::new(cover.len());
-                let end_set = self
-                    .expand_rec(cover, 1, start, &mut real, &mut visited, Some(&mut trace))
+                self.expand_rec(cover, 1, start, &mut real, &mut visited, Some(&mut trace))
                     .expect("probe proved an expansion exists");
                 cache.visited = visited;
                 cache.absorb(&key, trace, false);
                 cache.map.insert(
                     key,
                     CacheEntry::Alive {
-                        real: real.clone(),
-                        end_set,
+                        real: pack(&real),
                         tail_entry: None,
                     },
                 );
@@ -308,12 +334,14 @@ impl RuleGraph {
         self.probe(cover, cache)
     }
 
-    /// The chained header set at the end of a real path, starting from
-    /// the full output space of its head.
-    fn chain_along(&self, real: &[VertexId]) -> HeaderSet {
-        let mut set = self.vertex(real[0]).output.clone();
+    /// The chained header set at the end of a stored real path,
+    /// starting from the full output space of its head. This is the set
+    /// the DFS held when it first completed the path, so it replaces a
+    /// stored copy exactly.
+    fn chain_along(&self, real: &[u32]) -> HeaderSet {
+        let mut set = self.vertex(VertexId(real[0] as usize)).output.clone();
         for &v in &real[1..] {
-            set = self.chain(&set, v);
+            set = self.chain(&set, VertexId(v as usize));
         }
         set
     }
@@ -337,7 +365,7 @@ impl RuleGraph {
             return false;
         }
         cache.sync(self);
-        let key: Box<[usize]> = cover.iter().map(|v| v.0).collect();
+        let key = pack(cover);
         if let Some(entry) = cache.map.get(&key) {
             cache.hits += 1;
             return !matches!(entry, CacheEntry::Dead);
@@ -346,95 +374,71 @@ impl RuleGraph {
             // Extension probe: the one-vertex-short prefix is the chain
             // the matcher just grew. A Dead prefix settles the path
             // (prefix-locality); a live one seeds a single-segment
-            // search from its memoized end state — Alive prefixes yield
-            // the canonical expansion, Witness prefixes a composite
-            // witness.
-            match cache.map.get(&key[..cover.len() - 1]) {
-                None => {}
+            // search from the end state of its real path — Alive
+            // prefixes yield the canonical expansion, Witness prefixes a
+            // composite witness.
+            let prefix = match cache.map.get(&key[..cover.len() - 1]) {
+                None => None,
                 Some(CacheEntry::Dead) => {
                     cache.hits += 1;
                     cache.map.insert(key, CacheEntry::Dead);
                     return false;
                 }
-                Some(CacheEntry::Alive { real, end_set, .. }) => {
-                    let mut real = real.clone();
-                    let set = end_set.clone();
-                    if let Some(end_set) = self.extend_segment(cover, &mut real, set, cache) {
-                        cache.hits += 1;
-                        cache.map.insert(
-                            key,
-                            CacheEntry::Alive {
-                                real,
-                                end_set,
-                                tail_entry: None,
-                            },
-                        );
-                        return true;
+                Some(CacheEntry::Alive { real, .. }) => Some((real, true)),
+                Some(CacheEntry::Witness { real, .. }) => Some((real, false)),
+            };
+            let Some((prefix, canonical)) = prefix else {
+                // Splice probe: no prefix entry, but the suffix is
+                // usually the chain that was just spliced onto — resolve
+                // it (and the head segment) recursively and compose by
+                // overlap. A Dead suffix or head pair settles the path
+                // (the restriction of any legal expansion to those cover
+                // vertices would expand them; chaining is monotone).
+                return self.probe_splice_witness(cover, key, cache);
+            };
+            let set = self.chain_along(prefix);
+            let mut real = unpack(prefix);
+            let live = |real: &[VertexId]| {
+                let real = pack(real);
+                if canonical {
+                    CacheEntry::Alive {
+                        real,
+                        tail_entry: None,
                     }
-                    // The uncached DFS would now backtrack into a
-                    // different prefix expansion; only the full DFS
-                    // reproduces that exactly.
-                    return self.probe_scratch(cover, key, cache);
+                } else {
+                    CacheEntry::Witness {
+                        real,
+                        tail_entry: None,
+                    }
                 }
-                Some(CacheEntry::Witness { .. }) => {
-                    let (mut real, set) = match cache.map.get_mut(&key[..cover.len() - 1]) {
-                        Some(CacheEntry::Witness { real, end_set, .. }) => {
-                            if end_set.is_none() {
-                                // A witness real path is legal, so its
-                                // chained set is non-empty.
-                                *end_set = Some(self.chain_along(real));
-                            }
-                            (real.clone(), end_set.clone().expect("just filled"))
-                        }
-                        _ => unreachable!("just matched a Witness prefix"),
-                    };
-                    // Single-hop shortcut: the result need not be the
-                    // first-in-DFS-order segment, so any legal
-                    // continuation will do.
-                    let last = cover[cover.len() - 1];
-                    if let Some(chained) = self.direct_chain(cover[cover.len() - 2], last, &set) {
-                        if !chained.is_empty() {
-                            real.push(last);
-                            cache.hits += 1;
-                            cache.map.insert(
-                                key,
-                                CacheEntry::Witness {
-                                    real,
-                                    end_set: Some(chained),
-                                    tail_entry: None,
-                                },
-                            );
-                            return true;
-                        }
-                    }
-                    if let Some(end_set) = self.extend_segment(cover, &mut real, set, cache) {
-                        cache.hits += 1;
-                        cache.map.insert(
-                            key,
-                            CacheEntry::Witness {
-                                real,
-                                end_set: Some(end_set),
-                                tail_entry: None,
-                            },
-                        );
-                        return true;
-                    }
-                    // Not a proof of death: a different expansion of the
-                    // prefix might extend. The full DFS decides.
-                    return self.probe_scratch(cover, key, cache);
-                }
+            };
+            // Single-hop shortcut for a witness: the result need not be
+            // the first-in-DFS-order segment, so any legal continuation
+            // will do.
+            let last = cover[cover.len() - 1];
+            if !canonical
+                && self
+                    .direct_chain(cover[cover.len() - 2], last, &set)
+                    .is_some_and(|chained| !chained.is_empty())
+            {
+                real.push(last);
+                cache.hits += 1;
+                cache.map.insert(key, live(&real));
+                return true;
             }
-            // Splice probe: no prefix entry, but the suffix is usually
-            // the chain that was just spliced onto — resolve it (and the
-            // head segment) recursively and compose by overlap. A Dead
-            // suffix or head pair settles the path (the restriction of
-            // any legal expansion to those cover vertices would expand
-            // them; chaining is monotone).
-            return self.probe_splice_witness(cover, key, cache);
+            if self.extend_segment(cover, &mut real, set, cache) {
+                cache.hits += 1;
+                cache.map.insert(key, live(&real));
+                return true;
+            }
+            // Not a proof of death: the uncached DFS would now backtrack
+            // into a different prefix expansion, and only the full DFS
+            // reproduces that exactly.
+            return self.probe_scratch(cover, key, cache);
         }
         // Pairs die by a closure lookup — the closure's defining predicate —
         // but live pairs still run the (small) search: their canonical
-        // end-set is a much stronger splice donor than a single-hop
+        // real path is a much stronger splice donor than a single-hop
         // witness would be.
         if cover.len() == 2 && !self.has_closure_edge(cover[0], cover[1]) {
             cache.hits += 1;
@@ -456,12 +460,12 @@ impl RuleGraph {
         real: &mut Vec<VertexId>,
         set: HeaderSet,
         cache: &mut ExpansionCache,
-    ) -> Option<HeaderSet> {
+    ) -> bool {
         let mut visited = std::mem::take(&mut cache.visited);
         visited.begin(self.vertices.len());
         let r = self.expand_rec(cover, cover.len() - 1, set, real, &mut visited, None);
         cache.visited = visited;
-        r
+        r.is_some()
     }
 
     /// Splice probe: compose the head segment's chained set with the
@@ -470,7 +474,7 @@ impl RuleGraph {
     fn probe_splice_witness(
         &self,
         cover: &[VertexId],
-        key: Box<[usize]>,
+        key: Box<[u32]>,
         cache: &mut ExpansionCache,
     ) -> bool {
         if !cache.map.contains_key(&key[1..]) {
@@ -482,18 +486,15 @@ impl RuleGraph {
                 cache.map.insert(key, CacheEntry::Dead);
                 return false;
             }
-            Some(CacheEntry::Alive {
-                real, tail_entry, ..
-            })
-            | Some(CacheEntry::Witness {
-                real, tail_entry, ..
-            }) => {
+            Some(CacheEntry::Alive { real, tail_entry })
+            | Some(CacheEntry::Witness { real, tail_entry }) => {
                 if tail_entry.is_none() {
                     // Backward requirement of the donor's tail at
                     // `real[0]`'s output: a set chains through
                     // `real[1..]` to a non-empty end iff it meets this
                     // projection.
-                    *tail_entry = Some(self.path_entry_space(&real[1..]));
+                    let tail = self.path_entry_space(&unpack(&real[1..]));
+                    *tail_entry = Some(Box::new(tail));
                 }
             }
             None => unreachable!("suffix probe always records an entry"),
@@ -503,31 +504,20 @@ impl RuleGraph {
         // one set operation, no pair expansion.
         if let Some(chained) = self.direct_chain(cover[0], cover[1], &self.vertex(cover[0]).output)
         {
-            if !chained.is_empty() {
-                let (tail, req) = match cache.map.get(&key[1..]) {
-                    Some(CacheEntry::Alive {
-                        real, tail_entry, ..
-                    })
-                    | Some(CacheEntry::Witness {
-                        real, tail_entry, ..
-                    }) => (real, tail_entry.as_ref().expect("filled above")),
-                    _ => unreachable!("checked above"),
-                };
-                if chained.intersects(req) {
-                    let mut real = Vec::with_capacity(tail.len() + 1);
-                    real.push(cover[0]);
-                    real.extend_from_slice(tail);
-                    cache.hits += 1;
-                    cache.map.insert(
-                        key,
-                        CacheEntry::Witness {
-                            real,
-                            end_set: None,
-                            tail_entry: None,
-                        },
-                    );
-                    return true;
-                }
+            let (tail, req) = cache.live_tail(&key[1..]);
+            if chained.intersects(req) {
+                let real = std::iter::once(key[0])
+                    .chain(tail.iter().copied())
+                    .collect();
+                cache.hits += 1;
+                cache.map.insert(
+                    key,
+                    CacheEntry::Witness {
+                        real,
+                        tail_entry: None,
+                    },
+                );
+                return true;
             }
         }
         // General head segment: the pair's canonical expansion (cached
@@ -535,36 +525,25 @@ impl RuleGraph {
         if !cache.map.contains_key(&key[..2]) {
             self.probe(&cover[..2], cache);
         }
-        let (head, head_set) = match cache.map.get(&key[..2]) {
+        let head = match cache.map.get(&key[..2]) {
             Some(CacheEntry::Dead) => {
                 cache.hits += 1;
                 cache.map.insert(key, CacheEntry::Dead);
                 return false;
             }
-            Some(CacheEntry::Alive { real, end_set, .. }) => (real, end_set),
+            Some(CacheEntry::Alive { real, .. }) => real,
             _ => unreachable!("pair probe always records Dead or Alive"),
         };
-        let (tail, req) = match cache.map.get(&key[1..]) {
-            Some(CacheEntry::Alive {
-                real, tail_entry, ..
-            })
-            | Some(CacheEntry::Witness {
-                real, tail_entry, ..
-            }) => (real, tail_entry.as_ref().expect("filled above")),
-            _ => unreachable!("checked above"),
-        };
-        if !head_set.intersects(req) {
+        let (tail, req) = cache.live_tail(&key[1..]);
+        if !self.chain_along(head).intersects(req) {
             return self.probe_scratch(cover, key, cache);
         }
-        let mut real = Vec::with_capacity(head.len() + tail.len() - 1);
-        real.extend_from_slice(head);
-        real.extend_from_slice(&tail[1..]);
+        let real = head.iter().chain(&tail[1..]).copied().collect();
         cache.hits += 1;
         cache.map.insert(
             key,
             CacheEntry::Witness {
                 real,
-                end_set: None,
                 tail_entry: None,
             },
         );
@@ -576,7 +555,7 @@ impl RuleGraph {
     fn probe_scratch(
         &self,
         cover: &[VertexId],
-        key: Box<[usize]>,
+        key: Box<[u32]>,
         cache: &mut ExpansionCache,
     ) -> bool {
         cache.misses += 1;
@@ -586,27 +565,22 @@ impl RuleGraph {
         let mut real = vec![cover[0]];
         let start = self.vertex(cover[0]).output.clone();
         let mut trace = PrefixTrace::new(cover.len());
-        let result = self.expand_rec(cover, 1, start, &mut real, &mut visited, Some(&mut trace));
+        let found = self
+            .expand_rec(cover, 1, start, &mut real, &mut visited, Some(&mut trace))
+            .is_some();
         cache.visited = visited;
         // A failed from-scratch run was exhaustive: any boundary it
         // never entered has no expansion at all.
-        cache.absorb(&key, trace, result.is_none());
-        match result {
-            Some(end_set) => {
-                cache.map.insert(
-                    key,
-                    CacheEntry::Alive {
-                        real,
-                        end_set,
-                        tail_entry: None,
-                    },
-                );
-                true
+        cache.absorb(&key, trace, !found);
+        let entry = if found {
+            CacheEntry::Alive {
+                real: pack(&real),
+                tail_entry: None,
             }
-            None => {
-                cache.map.insert(key, CacheEntry::Dead);
-                false
-            }
-        }
+        } else {
+            CacheEntry::Dead
+        };
+        cache.map.insert(key, entry);
+        found
     }
 }

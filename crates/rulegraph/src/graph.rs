@@ -424,7 +424,7 @@ impl RuleGraph {
         // First entry at each segment boundary is the first-in-DFS-order
         // expansion of that cover prefix — snapshot it for the memo.
         if let Some(t) = trace.as_deref_mut() {
-            t.record(seg, real, &set);
+            t.record(seg, real);
         }
         if seg == cover.len() {
             return Some(set);
