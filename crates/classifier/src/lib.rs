@@ -8,8 +8,10 @@
 //!
 //! - **`lookup`**: the id and priority of the highest-priority pattern
 //!   matching a concrete header, with ties broken by lowest id — the
-//!   data plane's longest-prefix/priority match, in O(header bits)
-//!   branch walks instead of a linear scan over every flow entry.
+//!   data plane's longest-prefix/priority match, in at most one branch
+//!   walk per header bit instead of a linear scan over every flow
+//!   entry. A pattern's path stops where no other pattern shares it, so
+//!   most walks are much shorter than the header.
 //! - **`overlaps`**: every stored pattern whose header set intersects a
 //!   query pattern — the candidate set for rule-graph edge construction,
 //!   without pairwise intersection over all co-located rules.
@@ -19,6 +21,11 @@
 //! fixed to bit `k` of `value`; clear means wildcard. This is exactly the representation of
 //! `sdnprobe_headerspace::Ternary`, whose `care_mask()` / `value_bits()`
 //! accessors feed straight in.
+//!
+//! The crate also provides [`IdHashBuilder`], the workspace's one
+//! hand-written hasher: a fixed multiply-rotate hash for maps keyed by
+//! integer ids, which the trie, the data plane, the probe harness and
+//! the expansion memo use in place of SipHash.
 //!
 //! # Example
 //!
@@ -38,6 +45,8 @@
 
 #![warn(missing_docs)]
 
+mod hash;
 mod trie;
 
+pub use hash::IdHashBuilder;
 pub use trie::TernaryTrie;

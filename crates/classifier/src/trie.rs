@@ -2,18 +2,36 @@
 //!
 //! Layout: a node per bit position with three children — `0`, `1`, and
 //! wildcard — selected by the *stored pattern's* bit at that position.
-//! A pattern's path ends at its last cared bit: a pattern whose highest
-//! fixed position is `k - 1` stores its `(id, priority)` item at depth
-//! `k`, and a pattern with no fixed bit stores it at the root. Every
-//! deeper level would only take the wildcard child, which matches any
-//! header and intersects any query, so stopping early answers the same.
-//! Prefix rules fix the low bits, so a /16 ends at depth 16.
+//! A pattern's `(id, care, value, priority)` item hangs off one node on
+//! its path:
+//!
+//! - at its last cared bit (depth `k` for a pattern whose highest fixed
+//!   position is `k - 1`; the root for a pattern with no fixed bit), or
+//! - higher up, at the first node below the root that no other pattern
+//!   passes through. Such a *tail item* is alone in its subtree, so the
+//!   single-pattern rest of its path is never built.
+//!
+//! Items carry their masks, and a walk checks the header (or query)
+//! against every item at the nodes it visits, so an item stands for the
+//! bits below its node too. Prefix rules fix the low bits: a lone /16
+//! sits one node below the root, and an exact entry under a /16 sits
+//! one node below depth 16, where the two paths part.
+//!
+//! An insert that visits a node holding a tail item first pushes that
+//! item one level down, to the child its own next bit selects; equal
+//! prefixes push each other down to their last cared bit. Removal never
+//! pulls items back up, so an item may sit deeper than needed; it is
+//! still alone in its subtree.
+//!
+//! Items live in one arena, linked per node through `next`; freed slots
+//! are chained through the same link, so storing a pattern allocates
+//! nothing once the arena has grown.
 //!
 //! Lookups descend the child matching the header bit plus the wildcard
 //! child and check the items at every node they visit. The walk is a
 //! loop down the header-bit children that leaves each wildcard child on
 //! a fixed stack for later; overlap queries
-//! collect the items at every visited node and descend every child
+//! check the items at every visited node and descend every child
 //! compatible with the query bit. Each node caches the item count and
 //! maximum priority of its subtree, and the maximum priority of its own
 //! items, so lookups can prune branches and skip item lists that cannot
@@ -26,7 +44,9 @@
 
 use std::collections::HashMap;
 
-/// Sentinel for "no child" and "no leaf list".
+use crate::hash::IdHashBuilder;
+
+/// Sentinel for "no child", "no item" and the end of an item chain.
 const NIL: u32 = u32::MAX;
 
 /// Child slots: pattern bit `0`, pattern bit `1`, wildcard.
@@ -37,63 +57,93 @@ const WILD: usize = 2;
 /// Longest possible path: one node per bit plus the root.
 const MAX_PATH: usize = 129;
 
-/// An `(id, priority)` item stored where its pattern's path ends.
-type Item = (u64, u16);
-
 #[derive(Debug, Clone)]
 struct Node {
     children: [u32; 3],
-    /// Index into [`TernaryTrie::leaves`] of the items ending here, or
-    /// `NIL` if no pattern ends at this node.
-    leaf: u32,
+    /// Index into [`TernaryTrie::items`] of the first item sitting at
+    /// this node, or `NIL`.
+    items: u32,
     /// Number of items in this subtree (this node included).
     count: u32,
     /// Maximum priority of any item in this subtree; meaningful only
     /// when `count > 0`.
     max_priority: u16,
-    /// Maximum priority of the items in `leaf`; meaningful only when
-    /// `leaf` is not `NIL`.
-    leaf_max: u16,
+    /// Maximum priority of the items at this node; meaningful only when
+    /// `items` is not `NIL`.
+    items_max: u16,
 }
 
 impl Node {
     fn new() -> Self {
         Self {
             children: [NIL; 3],
-            leaf: NIL,
+            items: NIL,
             count: 0,
             max_priority: 0,
-            leaf_max: 0,
+            items_max: 0,
         }
     }
 }
 
-/// A stored pattern, remembered so removal can retrace its path.
+/// One stored pattern, in the item arena.
 #[derive(Debug, Clone, Copy)]
-struct Stored {
+struct Item {
     care: u128,
     value: u128,
+    id: u64,
+    /// Next item at the same node, or next free slot; `NIL` ends both.
+    next: u32,
     priority: u16,
+    /// Depth of the node the item sits at.
+    depth: u8,
+}
+
+impl Item {
+    fn matches(&self, header: u128) -> bool {
+        (header ^ self.value) & self.care == 0
+    }
+
+    fn intersects(&self, care: u128, value: u128) -> bool {
+        (value ^ self.value) & care & self.care == 0
+    }
+
+    /// True if the item sits above its last cared bit.
+    fn is_tail(&self) -> bool {
+        u32::from(self.depth) < path_depth(self.care)
+    }
 }
 
 /// A priority-aware ternary trie keyed by opaque `u64` ids.
 ///
 /// All stored patterns must share one bit length, fixed by the first
 /// insertion. See the crate docs for the `(care, value)` convention.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TernaryTrie {
     /// Node arena; index 0 is the root (present once `bits > 0`).
     nodes: Vec<Node>,
-    /// Item lists of the nodes where some pattern ends.
-    leaves: Vec<Vec<Item>>,
+    /// Item arena: every stored pattern, plus freed slots.
+    items: Vec<Item>,
     /// Arena slots of nodes unlinked by removal, reused by insertion.
     free_nodes: Vec<u32>,
-    /// Emptied entries of `leaves`, reused by insertion.
-    free_leaves: Vec<u32>,
+    /// First freed slot of `items` (chained through `next`), or `NIL`.
+    free_items: u32,
     /// Pattern length in bits; 0 until the first insertion.
     bits: u32,
-    /// Id to stored pattern, for removal and replacement.
-    patterns: HashMap<u64, Stored>,
+    /// Id to its slot in `items`.
+    patterns: HashMap<u64, u32, IdHashBuilder>,
+}
+
+impl Default for TernaryTrie {
+    fn default() -> Self {
+        Self {
+            nodes: Vec::new(),
+            items: Vec::new(),
+            free_nodes: Vec::new(),
+            free_items: NIL,
+            bits: 0,
+            patterns: HashMap::default(),
+        }
+    }
 }
 
 impl TernaryTrie {
@@ -125,9 +175,10 @@ impl TernaryTrie {
 
     /// The `(care, value, priority)` stored under `id`, if present.
     pub fn get(&self, id: u64) -> Option<(u128, u128, u16)> {
-        self.patterns
-            .get(&id)
-            .map(|s| (s.care, s.value, s.priority))
+        self.patterns.get(&id).map(|&slot| {
+            let it = &self.items[slot as usize];
+            (it.care, it.value, it.priority)
+        })
     }
 
     /// Number of live nodes, the root included.
@@ -162,37 +213,65 @@ impl TernaryTrie {
         let width = width_mask(bits);
         let care = care & width;
         let value = value & care;
-        self.patterns.insert(
-            id,
-            Stored {
-                care,
-                value,
-                priority,
-            },
-        );
-        // Walk (creating nodes) down to the last cared bit, keeping the
-        // subtree count and max-priority caches current.
+        // Walk down to the last cared bit or to the first missing child,
+        // pushing tail items out of the way and keeping the subtree
+        // count and max-priority caches current.
+        let last = path_depth(care);
         let mut node = 0usize;
-        for k in 0..path_depth(care) {
+        let mut depth = 0u32;
+        loop {
+            self.push_down(node, depth);
             self.bump(node, priority);
-            let slot = slot_of(care, value, k);
+            if depth == last {
+                break;
+            }
+            let slot = slot_of(care, value, depth);
             let child = self.nodes[node].children[slot];
-            node = if child == NIL {
+            depth += 1;
+            if child == NIL {
+                // Nothing else passes here: the item becomes a tail item
+                // (or ends its path, if this was its last cared bit).
                 let idx = self.alloc_node();
                 self.nodes[node].children[slot] = idx;
-                idx as usize
-            } else {
-                child as usize
-            };
+                node = idx as usize;
+                self.bump(node, priority);
+                break;
+            }
+            node = child as usize;
         }
-        self.bump(node, priority);
-        if self.nodes[node].leaf == NIL {
-            self.nodes[node].leaf = self.alloc_leaf();
-            self.nodes[node].leaf_max = priority;
+        let slot = self.alloc_item(Item {
+            care,
+            value,
+            id,
+            next: NIL,
+            priority,
+            depth: depth as u8,
+        });
+        self.link_item(node, slot);
+        self.patterns.insert(id, slot);
+    }
+
+    /// If the node at `depth` holds a lone tail item, moves it one level
+    /// down along its own path, so a second pattern can pass through.
+    fn push_down(&mut self, node: usize, depth: u32) {
+        let n = &self.nodes[node];
+        // A tail item is alone in its subtree: a count of 1 with the
+        // item at this node means the node has no children.
+        if n.count != 1 || n.items == NIL {
+            return;
         }
-        let n = &mut self.nodes[node];
-        n.leaf_max = n.leaf_max.max(priority);
-        self.leaves[n.leaf as usize].push((id, priority));
+        let slot = n.items;
+        let item = &mut self.items[slot as usize];
+        if !item.is_tail() {
+            return;
+        }
+        item.depth += 1;
+        let (to, priority) = (slot_of(item.care, item.value, depth), item.priority);
+        let child = self.alloc_node();
+        self.nodes[node].items = NIL;
+        self.nodes[node].children[to] = child;
+        self.bump(child as usize, priority);
+        self.link_item(child as usize, slot);
     }
 
     fn alloc_node(&mut self) -> u32 {
@@ -208,11 +287,53 @@ impl TernaryTrie {
         }
     }
 
-    fn alloc_leaf(&mut self) -> u32 {
-        self.free_leaves.pop().unwrap_or_else(|| {
-            self.leaves.push(Vec::new());
-            (self.leaves.len() - 1) as u32
-        })
+    fn alloc_item(&mut self, item: Item) -> u32 {
+        match self.free_items {
+            NIL => {
+                self.items.push(item);
+                (self.items.len() - 1) as u32
+            }
+            slot => {
+                self.free_items = self.items[slot as usize].next;
+                self.items[slot as usize] = item;
+                slot
+            }
+        }
+    }
+
+    /// Prepends item `slot` to the list at `node`.
+    fn link_item(&mut self, node: usize, slot: u32) {
+        let priority = self.items[slot as usize].priority;
+        let n = &mut self.nodes[node];
+        if n.items == NIL || priority > n.items_max {
+            n.items_max = priority;
+        }
+        self.items[slot as usize].next = n.items;
+        n.items = slot;
+    }
+
+    /// Unlinks item `slot` from the list at `node`, refreshes the node's
+    /// `items_max`, and puts the slot on the free chain.
+    fn unlink_item(&mut self, node: usize, slot: u32) {
+        let next = self.items[slot as usize].next;
+        if self.nodes[node].items == slot {
+            self.nodes[node].items = next;
+        } else {
+            let mut at = self.nodes[node].items;
+            while self.items[at as usize].next != slot {
+                at = self.items[at as usize].next;
+            }
+            self.items[at as usize].next = next;
+        }
+        self.items[slot as usize].next = self.free_items;
+        self.free_items = slot;
+        let mut at = self.nodes[node].items;
+        let mut max = 0;
+        while at != NIL {
+            max = max.max(self.items[at as usize].priority);
+            at = self.items[at as usize].next;
+        }
+        self.nodes[node].items_max = max;
     }
 
     fn bump(&mut self, node: usize, priority: u16) {
@@ -225,38 +346,28 @@ impl TernaryTrie {
 
     /// Removes the pattern stored under `id`; returns true if present.
     pub fn remove(&mut self, id: u64) -> bool {
-        let Some(stored) = self.patterns.remove(&id) else {
+        let Some(slot) = self.patterns.remove(&id) else {
             return false;
         };
-        // Retrace the pattern's path, decrementing subtree counts.
-        let depth = path_depth(stored.care) as usize;
+        let Item {
+            care, value, depth, ..
+        } = self.items[slot as usize];
+        // Retrace the path to the item's node, decrementing subtree
+        // counts.
+        let depth = depth as usize;
         let mut path = [0u32; MAX_PATH];
         self.nodes[0].count -= 1;
         for k in 0..depth {
-            let slot = slot_of(stored.care, stored.value, k as u32);
-            let child = self.nodes[path[k] as usize].children[slot];
+            let child = self.nodes[path[k] as usize].children[slot_of(care, value, k as u32)];
             self.nodes[child as usize].count -= 1;
             path[k + 1] = child;
         }
-        let end = path[depth] as usize;
-        let leaf = self.nodes[end].leaf as usize;
-        let pos = self.leaves[leaf]
-            .iter()
-            .position(|&(i, _)| i == id)
-            .expect("stored pattern has a leaf item");
-        self.leaves[leaf].swap_remove(pos);
-        match self.leaves[leaf].iter().map(|&(_, p)| p).max() {
-            Some(p) => self.nodes[end].leaf_max = p,
-            None => {
-                self.free_leaves.push(leaf as u32);
-                self.nodes[end].leaf = NIL;
-            }
-        }
+        self.unlink_item(path[depth] as usize, slot);
         // Counts never grow down a path, so the nodes left empty are a
         // suffix of it: unlink its top from the parent and free them all.
         let mut live = depth + 1;
         if let Some(cut) = (1..=depth).find(|&k| self.nodes[path[k] as usize].count == 0) {
-            let slot = slot_of(stored.care, stored.value, cut as u32 - 1);
+            let slot = slot_of(care, value, cut as u32 - 1);
             self.nodes[path[cut - 1] as usize].children[slot] = NIL;
             self.free_nodes.extend_from_slice(&path[cut..=depth]);
             live = cut;
@@ -275,7 +386,7 @@ impl TernaryTrie {
     /// children; returns true if it changed.
     fn refresh_max(&mut self, node: usize) -> bool {
         let n = &self.nodes[node];
-        let mut best = (n.leaf != NIL).then_some(n.leaf_max);
+        let mut best = (n.items != NIL).then_some(n.items_max);
         for child in n.children {
             if child != NIL {
                 let c = &self.nodes[child as usize];
@@ -320,7 +431,7 @@ impl TernaryTrie {
                 if best.is_some_and(|(p, _)| n.max_priority < p) {
                     break;
                 }
-                if n.leaf != NIL {
+                if n.items != NIL {
                     held[held_len] = node;
                     held_len += 1;
                 }
@@ -339,17 +450,23 @@ impl TernaryTrie {
                 depth += 1;
             }
             // Deepest items first: in a longest-prefix table a longer
-            // match outranks the shorter ones, and then `leaf_max` skips
-            // their lists without reading them.
+            // match outranks the shorter ones, and then `items_max`
+            // skips their lists without reading them.
             for &node in held[..held_len].iter().rev() {
                 let n = &self.nodes[node as usize];
-                if best.is_some_and(|(p, _)| n.leaf_max < p) {
+                if best.is_some_and(|(p, _)| n.items_max < p) {
                     continue;
                 }
-                for &(id, priority) in &self.leaves[n.leaf as usize] {
-                    if best.is_none_or(|(bp, bid)| priority > bp || (priority == bp && id < bid)) {
-                        best = Some((priority, id));
+                let mut at = n.items;
+                while at != NIL {
+                    let it = &self.items[at as usize];
+                    let better = best.is_none_or(|(bp, bid)| {
+                        it.priority > bp || (it.priority == bp && it.id < bid)
+                    });
+                    if better && it.matches(header) {
+                        best = Some((it.priority, it.id));
                     }
+                    at = it.next;
                 }
             }
         }
@@ -371,8 +488,9 @@ impl TernaryTrie {
     ///
     /// Two ternaries intersect unless some bit is fixed to different
     /// values in both, so the walk descends the wildcard child always
-    /// and the fixed children compatible with the query bit. It skips
-    /// every subtree whose maximum priority is below `min_priority`.
+    /// and the fixed children compatible with the query bit, and checks
+    /// each item it meets against the query. It skips every subtree
+    /// whose maximum priority is below `min_priority`.
     pub fn for_each_overlap(
         &self,
         care: u128,
@@ -407,11 +525,14 @@ impl TernaryTrie {
         if n.max_priority < min_priority {
             return;
         }
-        if n.leaf != NIL && n.leaf_max >= min_priority {
-            for &(id, priority) in &self.leaves[n.leaf as usize] {
-                if priority >= min_priority {
-                    f(id, priority);
+        if n.items != NIL && n.items_max >= min_priority {
+            let mut at = n.items;
+            while at != NIL {
+                let it = &self.items[at as usize];
+                if it.priority >= min_priority && it.intersects(care, value) {
+                    f(it.id, it.priority);
                 }
+                at = it.next;
             }
         }
         if depth == self.bits {
@@ -435,8 +556,8 @@ impl TernaryTrie {
     }
 }
 
-/// Depth at which a pattern's path ends: one past its highest cared
-/// bit, or the root when it cares about no bit.
+/// Depth of a pattern's last cared bit: one past its highest cared bit,
+/// or the root when it cares about no bit.
 fn path_depth(care: u128) -> u32 {
     128 - care.leading_zeros()
 }
@@ -702,28 +823,43 @@ mod tests {
         }
     }
 
-    /// Walks the linked nodes and checks every cache and the free lists
-    /// against the stored patterns.
+    /// Walks the linked nodes and checks every cache, the item layout
+    /// and the free lists against the stored patterns.
     fn check_invariants(trie: &TernaryTrie) {
         if trie.bits == 0 {
             return;
         }
         // Returns (count, max priority) of the subtree at `node`.
-        fn walk(trie: &TernaryTrie, node: usize, live: &mut Vec<usize>) -> (u32, Option<u16>) {
+        fn walk(
+            trie: &TernaryTrie,
+            node: usize,
+            depth: u32,
+            live: &mut Vec<usize>,
+            items: &mut usize,
+        ) -> (u32, Option<u16>) {
             live.push(node);
             let n = &trie.nodes[node];
-            let items: &[Item] = match n.leaf {
-                NIL => &[],
-                leaf => &trie.leaves[leaf as usize],
-            };
-            assert!(n.leaf == NIL || !items.is_empty(), "empty leaf list kept");
-            if n.leaf != NIL {
-                assert_eq!(Some(n.leaf_max), items.iter().map(|&(_, p)| p).max());
+            let mut here = Vec::new();
+            let mut at = n.items;
+            while at != NIL {
+                let it = &trie.items[at as usize];
+                assert_eq!(u32::from(it.depth), depth, "item depth out of date");
+                assert!(
+                    depth <= path_depth(it.care),
+                    "item below its last cared bit"
+                );
+                assert_eq!(trie.patterns.get(&it.id), Some(&at), "item not indexed");
+                here.push(*it);
+                at = it.next;
             }
-            let mut count = items.len() as u32;
-            let mut max = items.iter().map(|&(_, p)| p).max();
+            *items += here.len();
+            if !here.is_empty() {
+                assert_eq!(Some(n.items_max), here.iter().map(|it| it.priority).max());
+            }
+            let mut count = here.len() as u32;
+            let mut max = here.iter().map(|it| it.priority).max();
             for child in n.children.into_iter().filter(|&c| c != NIL) {
-                let (c, m) = walk(trie, child as usize, live);
+                let (c, m) = walk(trie, child as usize, depth + 1, live, items);
                 assert!(c > 0, "linked node with an empty subtree");
                 count += c;
                 max = max.max(m);
@@ -732,11 +868,18 @@ mod tests {
             if count > 0 {
                 assert_eq!(Some(n.max_priority), max, "stale max priority");
             }
+            // An item above its last cared bit stands for the rest of its
+            // path, so nothing else may live in its subtree.
+            if here.iter().any(Item::is_tail) {
+                assert_eq!(count, 1, "tail item at depth {depth} is not alone");
+            }
             (count, max)
         }
         let mut live = Vec::new();
-        let (count, _) = walk(trie, 0, &mut live);
+        let mut items = 0;
+        let (count, _) = walk(trie, 0, 0, &mut live, &mut items);
         assert_eq!(count as usize, trie.len());
+        assert_eq!(items, trie.len());
         assert_eq!(live.len(), trie.node_count());
         let mut free = vec![false; trie.nodes.len()];
         for &n in &trie.free_nodes {
@@ -749,8 +892,22 @@ mod tests {
             live.iter().all(|&n| !free[n]),
             "linked node on the free list"
         );
-        let leaves = live.iter().filter(|&&n| trie.nodes[n].leaf != NIL).count();
-        assert_eq!(leaves + trie.free_leaves.len(), trie.leaves.len());
+        // Live item slots plus the free chain cover the arena exactly.
+        let mut used = vec![false; trie.items.len()];
+        for &slot in trie.patterns.values() {
+            used[slot as usize] = true;
+        }
+        let mut free_items = 0;
+        let mut at = trie.free_items;
+        while at != NIL {
+            assert!(
+                !std::mem::replace(&mut used[at as usize], true),
+                "item slot both live and free, or freed twice"
+            );
+            free_items += 1;
+            at = trie.items[at as usize].next;
+        }
+        assert_eq!(items + free_items, trie.items.len());
     }
 
     #[test]
@@ -759,21 +916,28 @@ mod tests {
     }
 
     #[test]
-    fn paths_end_at_the_last_cared_bit() {
+    fn tail_items_sit_where_paths_part() {
         let mut trie = TernaryTrie::new();
-        // A /16 over 32 bits: 16 levels below the root.
+        // A lone /16 over 32 bits: one node below the root.
         trie.insert(0, 0xFFFF, 0x0A0B, 1, 32);
-        assert_eq!(trie.node_count(), 17);
+        assert_eq!(trie.node_count(), 2);
         // No cared bit: the item sits at the root.
         trie.insert(1, 0, 0, 0, 32);
-        assert_eq!(trie.node_count(), 17);
+        assert_eq!(trie.node_count(), 2);
         assert_eq!(trie.lookup(0x1234_0A0B), Some((0, 1)));
         assert_eq!(trie.lookup(0x1234_0A0C), Some((1, 0)));
         assert_eq!(trie.overlaps(0x1_0000, 0x1_0000), vec![0, 1]);
-        // Exact match: the full 32 levels.
+        assert_eq!(trie.overlaps(0xFFFF, 0x0A0C), vec![1]);
+        // An exact entry under the /16 pushes it down to its last cared
+        // bit (depth 16) and sits one node below, where the paths part.
         trie.insert(2, u32::MAX as u128, 0x1234_0A0B, 5, 32);
-        assert_eq!(trie.node_count(), 33);
+        assert_eq!(trie.node_count(), 18);
         assert_eq!(trie.lookup(0x1234_0A0B), Some((2, 5)));
+        assert_eq!(trie.lookup(0x1235_0A0B), Some((0, 1)));
+        check_invariants(&trie);
+        // Removal leaves the /16 where it was pushed.
+        assert!(trie.remove(2));
+        assert_eq!(trie.node_count(), 17);
         check_invariants(&trie);
     }
 
@@ -794,7 +958,9 @@ mod tests {
         let mut trie = TernaryTrie::new();
         for (id, &(care, value)) in patterns.iter().enumerate() {
             trie.insert(id as u64, care, value, rng.below(8) as u16, bits);
-            assert_eq!(trie.node_count(), path_depth(care) as usize + 1);
+            // A lone pattern sits one node below the root, or at the root
+            // when it cares about no bit.
+            assert_eq!(trie.node_count(), 1 + usize::from(care != 0));
             assert!(trie.nodes.len() <= bits as usize + 1, "arena grew");
             assert!(trie.remove(id as u64));
             assert_eq!(trie.node_count(), 1);
@@ -901,5 +1067,86 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn differential_push_down_chains() {
+        let mut rng = Rng(2113);
+        let mut tail_probes = 0;
+        for _ in 0..40 {
+            let bits = 8 + rng.below(25) as u32; // 8..=32
+            let width = width_mask(bits);
+            // Every pattern extends one of three stems, so paths share
+            // long prefixes and inserts push tail items down in chains.
+            let stems: Vec<(u32, u128)> = (0..3)
+                .map(|_| (rng.below(bits as u64) as u32, rng.next() as u128))
+                .collect();
+            let mut trie = TernaryTrie::new();
+            let mut linear = Linear { rules: Vec::new() };
+            let mut next_id = 0u64;
+            for _ in 0..120 {
+                let roll = rng.below(10);
+                if !linear.rules.is_empty() && roll < 2 {
+                    let idx = rng.below(linear.rules.len() as u64) as usize;
+                    let (id, _, _, _) = linear.rules.swap_remove(idx);
+                    assert!(trie.remove(id));
+                } else if !linear.rules.is_empty() && roll < 4 {
+                    // Remove and reinsert: the pattern walks back down
+                    // through whatever the removal left behind.
+                    let idx = rng.below(linear.rules.len() as u64) as usize;
+                    let (id, care, value, priority) = linear.rules[idx];
+                    assert!(trie.remove(id));
+                    check_invariants(&trie);
+                    trie.insert(id, care, value, priority, bits);
+                } else {
+                    let (stem_len, stem) = stems[rng.below(3) as usize];
+                    // The stem itself, an exact entry under it, or a
+                    // longer prefix of it.
+                    let len = match rng.below(3) {
+                        0 => stem_len,
+                        1 => bits,
+                        _ => stem_len + rng.below((bits - stem_len) as u64 + 1) as u32,
+                    };
+                    let care = width_mask(len);
+                    let low = width_mask(stem_len);
+                    let value = (stem & low | rng.next() as u128 & !low) & care;
+                    let priority = rng.below(4) as u16;
+                    trie.insert(next_id, care, value, priority, bits);
+                    linear.rules.push((next_id, care, value, priority));
+                    next_id += 1;
+                }
+                assert_eq!(trie.len(), linear.rules.len());
+                check_invariants(&trie);
+                if linear.rules.is_empty() {
+                    continue;
+                }
+                for _ in 0..20 {
+                    // A header inside a stored pattern, then (if it sits
+                    // above its last cared bit) one cared bit below its
+                    // node flipped: same path, different tail.
+                    let (id, care, value, _) =
+                        linear.rules[rng.below(linear.rules.len() as u64) as usize];
+                    let mut h = value | rng.next() as u128 & width & !care;
+                    let depth = u32::from(trie.items[trie.patterns[&id] as usize].depth);
+                    let below = care & !width_mask(depth);
+                    if below != 0 && rng.below(2) == 0 {
+                        tail_probes += 1;
+                        let set: Vec<u32> =
+                            (depth..bits).filter(|&k| below >> k & 1 == 1).collect();
+                        h ^= 1 << set[rng.below(set.len() as u64) as usize];
+                    }
+                    assert_lookup(&trie, &linear, h);
+                    // The same pattern as a query, shortened or flipped.
+                    let qc = care & width_mask(rng.below(bits as u64 + 1) as u32);
+                    let qv = h & qc;
+                    assert_eq!(trie.overlaps(qc, qv), linear.overlaps(qc, qv));
+                    assert_eq!(
+                        trie.overlaps(care, h & care),
+                        linear.overlaps(care, h & care)
+                    );
+                }
+            }
+        }
+        assert!(tail_probes > 10_000, "only {tail_probes} tail probes");
     }
 }

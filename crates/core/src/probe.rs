@@ -30,6 +30,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
+use sdnprobe_classifier::IdHashBuilder;
 use sdnprobe_dataplane::{Action, EntryId, FlowEntry, Network, NetworkError, TableId};
 use sdnprobe_headerspace::Header;
 use sdnprobe_rulegraph::{RuleGraph, VertexId};
@@ -127,12 +128,12 @@ fn with_retry<T>(
 #[derive(Debug)]
 pub struct ProbeHarness {
     /// The duplicate table on each switch that needed one.
-    test_tables: HashMap<SwitchId, TableId>,
+    test_tables: HashMap<SwitchId, TableId, IdHashBuilder>,
     /// Terminal rules rewritten to `goto`: entry id → (original entry,
     /// id of its copy in the test table).
-    rewritten: HashMap<EntryId, (FlowEntry, EntryId)>,
+    rewritten: HashMap<EntryId, (FlowEntry, EntryId), IdHashBuilder>,
     /// Installed test entries: (switch, expected header) → entry id.
-    test_entries: HashMap<(SwitchId, Header), EntryId>,
+    test_entries: HashMap<(SwitchId, Header), EntryId, IdHashBuilder>,
     /// Retry policy for flow-mods under transient channel failures.
     retry: RetryPolicy,
 }
@@ -141,9 +142,9 @@ impl ProbeHarness {
     /// Creates an empty harness with the default retry policy.
     pub fn new() -> Self {
         Self {
-            test_tables: HashMap::new(),
-            rewritten: HashMap::new(),
-            test_entries: HashMap::new(),
+            test_tables: HashMap::default(),
+            rewritten: HashMap::default(),
+            test_entries: HashMap::default(),
             retry: RetryPolicy::default(),
         }
     }

@@ -18,6 +18,9 @@ use sdnprobe_rulegraph::RuleGraph;
 use sdnprobe_topology::generate::rocketfuel_like;
 use sdnprobe_workloads::{synthesize, WorkloadSpec};
 
+#[path = "../../rulegraph/tests/support/detour.rs"]
+mod detour;
+
 /// A mid-size Rocketfuel-like workload: enough cover paths that the
 /// parallel expansion stage actually fans out (see
 /// `plan_is_large_enough_to_fan_out`).
@@ -280,4 +283,56 @@ fn rng_state_advances_identically() {
     let _ = randomized(&graph, &mut rng_seq, Parallelism::sequential());
     let _ = randomized(&graph, &mut rng_par, Parallelism::with_threads(8));
     assert_eq!(rng_seq.next_u64(), rng_par.next_u64());
+}
+
+/// Every probe's real path is the uncached first-in-DFS-order expansion
+/// of its cover path.
+fn assert_canonical(graph: &RuleGraph, plan: &TestPlan, what: &str) {
+    for probe in &plan.probes {
+        let expect = graph.expand_cover_path(&probe.cover).map(|(real, _)| real);
+        assert_eq!(
+            Some(&probe.path),
+            expect.as_ref(),
+            "{what}: cover {:?}",
+            probe.cover
+        );
+    }
+}
+
+#[test]
+fn detour_graph_plans_match_uncached_expansions() {
+    // On detour graphs the memo composes witnesses that differ from the
+    // canonical expansion (see `support/detour.rs`), so a plan that
+    // handed one out would show here: fresh, warm and session-held
+    // memos must all plan the uncached expansions, identically.
+    let mut packets = 0;
+    sdnprobe_integration::check(24, 2018, |rng| {
+        let graph = RuleGraph::from_network(&detour::detour_network(rng)).expect("DAG");
+        let fresh = minimum(&graph, Parallelism::sequential());
+        assert_canonical(&graph, &fresh, "minimum");
+        packets += fresh.packet_count();
+        let mut held = ExpansionCache::new();
+        for round in 0..3 {
+            let warm = generate_with_cache(&graph, &mut held, Parallelism::with_threads(2));
+            assert_eq!(fingerprint(&warm), fingerprint(&fresh), "round {round}");
+        }
+        let mut session_rng = StdRng::seed_from_u64(7);
+        let mut fresh_rng = StdRng::seed_from_u64(7);
+        for round in 0..8 {
+            let warm = generate_randomized_with_cache(
+                &graph,
+                &mut session_rng,
+                &mut held,
+                Parallelism::sequential(),
+            );
+            assert_canonical(&graph, &warm, "randomized");
+            let cold = randomized(&graph, &mut fresh_rng, Parallelism::sequential());
+            assert_eq!(
+                fingerprint(&warm),
+                fingerprint(&cold),
+                "randomized round {round}"
+            );
+        }
+    });
+    assert!(packets > 24, "{packets} probes over 24 graphs");
 }

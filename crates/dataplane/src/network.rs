@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 
+use sdnprobe_classifier::IdHashBuilder;
 use sdnprobe_headerspace::Header;
 use sdnprobe_topology::{PortId, SwitchId, Topology};
 
@@ -257,8 +258,11 @@ impl std::error::Error for NetworkError {}
 pub struct Network {
     topology: Topology,
     tables: Vec<Vec<FlowTable>>,
-    locations: HashMap<EntryId, EntryLocation>,
-    faults: HashMap<EntryId, FaultSpec>,
+    /// Number of tables over all switches, kept by `add_table` and
+    /// `remove_table` for the hop budget.
+    table_total: usize,
+    locations: HashMap<EntryId, EntryLocation, IdHashBuilder>,
+    faults: HashMap<EntryId, FaultSpec, IdHashBuilder>,
     next_entry: u64,
     now_ns: u64,
     impairments: Impairments,
@@ -276,9 +280,10 @@ impl Network {
         let tables = vec![vec![FlowTable::new()]; topology.switch_count()];
         Self {
             topology,
+            table_total: tables.len(),
             tables,
-            locations: HashMap::new(),
-            faults: HashMap::new(),
+            locations: HashMap::default(),
+            faults: HashMap::default(),
             next_entry: 0,
             now_ns: 0,
             impairments: Impairments::default(),
@@ -370,6 +375,7 @@ impl Network {
             .get_mut(switch.0)
             .ok_or(NetworkError::UnknownSwitch(switch))?;
         tables.push(FlowTable::new());
+        self.table_total += 1;
         Ok(TableId(tables.len() - 1))
     }
 
@@ -391,6 +397,7 @@ impl Network {
             return Err(NetworkError::TableNotRemovable(switch, table));
         }
         tables.pop();
+        self.table_total -= 1;
         Ok(())
     }
 
@@ -641,7 +648,7 @@ impl Network {
         let mut header = header;
         // Generous hop budget: every (switch, table) pair once, plus
         // slack for detours/misdirects.
-        let budget = 4 * self.tables.iter().map(Vec::len).sum::<usize>().max(4);
+        let budget = 4 * self.table_total.max(4);
         for _ in 0..budget {
             let Some((id, entry)) = self.tables[switch.0][table.0].lookup(header) else {
                 return (Outcome::NoMatch { switch }, header);
@@ -938,6 +945,23 @@ mod tests {
         }
         let trace = net.inject(SwitchId(0), Header::new(0, 8));
         assert_eq!(trace.outcome, Outcome::TtlExceeded);
+        // The hop budget is four steps per table in the network (at
+        // least 16); it follows tables added and removed since.
+        assert_eq!(trace.steps.len(), 16);
+        let added: Vec<TableId> = (0..4)
+            .map(|_| net.add_table(SwitchId(0)).unwrap())
+            .collect();
+        net.add_table(SwitchId(1)).unwrap();
+        let trace = net.inject(SwitchId(0), Header::new(0, 8));
+        assert_eq!(trace.outcome, Outcome::TtlExceeded);
+        assert_eq!(trace.steps.len(), 28);
+        for &t in added[2..].iter().rev() {
+            net.remove_table(SwitchId(0), t).unwrap();
+        }
+        assert!(net.remove_table(SwitchId(0), added[0]).is_err());
+        let trace = net.inject(SwitchId(0), Header::new(0, 8));
+        assert_eq!(trace.outcome, Outcome::TtlExceeded);
+        assert_eq!(trace.steps.len(), 20);
     }
 
     #[test]

@@ -9,8 +9,8 @@ use crate::flow::{EntryId, FlowEntry};
 
 /// A single OpenFlow-style flow table: precedence keys and entries in
 /// two parallel sorted vectors, plus a [`TernaryTrie`] over the match
-/// fields, so [`lookup`](Self::lookup) walks O(header bits) trie
-/// branches instead of scanning every entry. An entry's slot is found by
+/// fields, so [`lookup`](Self::lookup) walks at most one trie branch per
+/// header bit instead of scanning every entry. An entry's slot is found by
 /// binary search on its 16-byte precedence key, so a mutation never
 /// touches the other entries.
 ///

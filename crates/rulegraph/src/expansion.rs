@@ -57,47 +57,13 @@
 //! prefix it continues.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 
+use sdnprobe_classifier::IdHashBuilder;
 use sdnprobe_headerspace::HeaderSet;
 
 use crate::bitset::VisitSet;
 use crate::graph::RuleGraph;
 use crate::vertex::VertexId;
-
-/// FNV-1a folding one byte at a time — cover-path keys are short `u32`
-/// slices, where this beats the default SipHash severalfold. The hasher
-/// is fixed and deterministic; map iteration order is never observable
-/// (the cache only gets and inserts).
-#[derive(Debug, Default)]
-struct KeyHashBuilder;
-
-#[derive(Debug)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.0 = (self.0 ^ v as u64).wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-impl BuildHasher for KeyHashBuilder {
-    type Hasher = KeyHasher;
-
-    fn build_hasher(&self) -> KeyHasher {
-        KeyHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
 
 /// A vertex id as the memo stores it, in keys and real paths.
 fn id32(v: VertexId) -> u32 {
@@ -190,7 +156,10 @@ impl PrefixTrace {
 #[derive(Debug, Default)]
 pub struct ExpansionCache {
     generation: u64,
-    map: HashMap<Box<[u32]>, CacheEntry, KeyHashBuilder>,
+    /// Keys are short `u32` slices; the fixed integer hasher beats
+    /// SipHash severalfold on them, and the memo only gets and inserts,
+    /// so its iteration order is never observable.
+    map: HashMap<Box<[u32]>, CacheEntry, IdHashBuilder>,
     visited: VisitSet,
     hits: u64,
     misses: u64,

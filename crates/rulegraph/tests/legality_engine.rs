@@ -6,6 +6,9 @@
 use sdnprobe_integration::check;
 use std::collections::HashSet;
 
+#[path = "support/detour.rs"]
+mod detour;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdnprobe_dataplane::{Action, EntryId, FlowEntry, Network, TableId};
@@ -241,4 +244,165 @@ fn cache_agrees_after_incremental_mutations() {
             }
         }
     });
+}
+
+/// Detour graphs checked per test, and cover paths sampled per graph.
+const DETOUR_CASES: u32 = 48;
+const CHAINS_PER_GRAPH: usize = 80;
+
+/// Up to [`CHAINS_PER_GRAPH`] cover paths of three and four vertices
+/// along closure edges, sampled evenly.
+fn chains(graph: &RuleGraph, rng: &mut StdRng) -> Vec<Vec<VertexId>> {
+    let mut out = Vec::new();
+    for u in graph.vertex_ids() {
+        for &v in graph.closure_successors(u) {
+            for &w in graph.closure_successors(v) {
+                out.push(vec![u, v, w]);
+                for &x in graph.closure_successors(w) {
+                    out.push(vec![u, v, w, x]);
+                }
+            }
+        }
+    }
+    let keep = CHAINS_PER_GRAPH as f64 / out.len().max(1) as f64;
+    out.retain(|_| keep >= 1.0 || rng.gen_bool(keep));
+    out
+}
+
+/// The same prefix-first and full-path-first passes as
+/// `cached_expansion_matches_uncached`, over detour graphs, where the
+/// memo holds witnesses that differ from the canonical expansion.
+#[test]
+fn cached_expansion_matches_uncached_on_detour_graphs() {
+    let mut case = 0;
+    check(DETOUR_CASES, 5, |rng| {
+        case += 1;
+        let graph =
+            RuleGraph::from_network(&detour::detour_network(rng)).expect("detour graphs are DAGs");
+        let paths = chains(&graph, rng);
+        let mut cache = ExpansionCache::new();
+        for path in &paths {
+            for plen in 2..=path.len() {
+                assert_probe_identical(&graph, &mut cache, &path[..plen], case);
+            }
+        }
+        for path in &paths {
+            assert_probe_identical(&graph, &mut cache, path, case);
+        }
+        let mut cold = ExpansionCache::new();
+        for path in &paths {
+            assert_probe_identical(&graph, &mut cold, path, case);
+            for plen in 2..path.len() {
+                assert_probe_identical(&graph, &mut cold, &path[..plen], case);
+            }
+        }
+        // Suffixes first: every probe of a longer path is a splice.
+        let mut spliced = ExpansionCache::new();
+        for path in &paths {
+            for start in (0..path.len() - 1).rev() {
+                assert_probe_identical(&graph, &mut spliced, &path[start..], case);
+            }
+        }
+    });
+}
+
+/// How often the witness schedules reach each `Witness` branch of the
+/// memo, predicted from public data: the library keeps no such counts.
+#[derive(Debug, Default)]
+struct WitnessReach {
+    /// `probe_splice_witness` composed over the direct step-1 edge.
+    splice_direct: usize,
+    /// `probe_splice_witness` composed over the head pair's expansion.
+    splice_head: usize,
+    /// Composed witnesses that differ from the canonical expansion.
+    non_canonical: usize,
+    /// `probe` extended a `Witness` prefix.
+    witness_prefix: usize,
+    /// `expand_cover_path_cached` re-derived a `Witness` entry.
+    handed_out: usize,
+    /// `probe` resumed a canonical prefix, failed, and the path is live.
+    resume_fallback: usize,
+}
+
+/// Fixed probe schedules on fresh memos whose memo branch is known in
+/// advance, each step checked against the uncached DFS:
+///
+/// 1. `[c1, c2]` expanded (a canonical `Alive` suffix), then
+///    `[c0, c1, c2]` probed — a splice, which stores a `Witness` when
+///    the composite is legal — then `[c0, .., c3]` probed (extending the
+///    witness prefix) and expanded, then `[c0, c1, c2]` expanded (the
+///    witness handed out must be re-derived);
+/// 2. `[c0, c1]` expanded, then `[c0, c1, c2]` probed: a resume of the
+///    canonical prefix, which must fall back to the full DFS when the
+///    canonical prefix cannot be extended.
+#[test]
+fn detour_graphs_reach_every_witness_branch() {
+    let mut reach = WitnessReach::default();
+    let mut case = 0;
+    check(DETOUR_CASES, 6, |rng| {
+        case += 1;
+        let graph =
+            RuleGraph::from_network(&detour::detour_network(rng)).expect("detour graphs are DAGs");
+        let canon = |cover: &[VertexId]| graph.expand_cover_path(cover).map(|(real, _)| real);
+        for cover in chains(&graph, rng) {
+            let (c0, c1) = (cover[0], cover[1]);
+            let triple = &cover[..3];
+            let expect = canon(triple);
+
+            let mut cache = ExpansionCache::new();
+            assert_probe_identical(&graph, &mut cache, &triple[1..], case);
+            let tail = canon(&triple[1..]);
+            let direct = tail
+                .as_ref()
+                .filter(|_| graph.successors(c0).contains(&c1))
+                .map(|t| [&[c0][..], t].concat())
+                .filter(|w| graph.is_real_path_legal(w));
+            let witness = match direct {
+                Some(w) => {
+                    reach.splice_direct += 1;
+                    Some(w)
+                }
+                None => canon(&[c0, c1])
+                    .zip(tail.as_ref())
+                    .map(|(head, t)| [&head[..], &t[1..]].concat())
+                    .filter(|w| graph.is_real_path_legal(w))
+                    .inspect(|_| reach.splice_head += 1),
+            };
+            assert_eq!(
+                graph.is_cover_path_expandable(triple, &mut cache),
+                expect.is_some(),
+                "splice liveness on {triple:?} (case {case})"
+            );
+            if let Some(w) = &witness {
+                reach.non_canonical += usize::from(Some(w) != expect.as_ref());
+                reach.handed_out += 1;
+                if cover.len() == 4 {
+                    reach.witness_prefix += 1;
+                }
+            }
+            if cover.len() == 4 {
+                assert_probe_identical(&graph, &mut cache, &cover, case);
+            }
+            assert_probe_identical(&graph, &mut cache, triple, case);
+
+            let mut cache = ExpansionCache::new();
+            assert_probe_identical(&graph, &mut cache, &[c0, c1], case);
+            let head = canon(&[c0, c1]);
+            if let (Some(full), Some(head)) = (&expect, &head) {
+                if !full.starts_with(head) {
+                    reach.resume_fallback += 1;
+                }
+            }
+            assert_probe_identical(&graph, &mut cache, triple, case);
+        }
+    });
+    let counts = [
+        reach.splice_direct,
+        reach.splice_head,
+        reach.non_canonical,
+        reach.witness_prefix,
+        reach.handed_out,
+        reach.resume_fallback,
+    ];
+    assert!(counts.iter().all(|&n| n >= 100), "{reach:?}");
 }
