@@ -19,7 +19,7 @@ use sdnprobe::{
     accuracy, generate_randomized_with_cache, generate_with_cache, ExpansionCache, ProbeConfig,
     RandomizedSdnProbe, SdnProbe,
 };
-use sdnprobe_bench::{f3, parallelism, summary, ResultTable};
+use sdnprobe_bench::{declare_flags, f3, parallelism, summary, ResultTable};
 use sdnprobe_rulegraph::{RuleGraph, VertexId};
 use sdnprobe_topology::generate::rocketfuel_like;
 use sdnprobe_workloads::{
@@ -362,6 +362,7 @@ fn threshold_sweep(table_dir: &mut Vec<ResultTable>) {
 }
 
 fn main() {
+    declare_flags("ablation", &["--threads N"]);
     let mut tables = Vec::new();
     closure_and_legality(&mut tables);
     randomization_overhead(&mut tables);

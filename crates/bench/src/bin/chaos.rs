@@ -15,7 +15,7 @@
 //! Usage: `cargo run -p sdnprobe-bench --release --bin chaos [--runs N] [--threads N]`
 
 use sdnprobe::{accuracy, ProbeConfig, SdnProbe};
-use sdnprobe_bench::{arg, f3, parallelism, summary, ResultTable};
+use sdnprobe_bench::{arg, declare_flags, f3, parallelism, summary, ResultTable};
 use sdnprobe_dataplane::Impairments;
 use sdnprobe_workloads::{chaos_case, inject_random_basic_faults, BasicFaultMix};
 
@@ -54,6 +54,7 @@ fn measure(loss: f64, confirm_retries: u32, runs: usize) -> (f64, f64) {
 }
 
 fn main() {
+    declare_flags("chaos", &["--runs N", "--threads N"]);
     let runs: usize = arg("runs").unwrap_or(10);
     let losses = [0.0, 0.05, 0.10, 0.15, 0.20];
     let mut table = ResultTable::new(

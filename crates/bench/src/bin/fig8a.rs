@@ -11,11 +11,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sdnprobe::{generate_randomized_with_cache, generate_with_cache, ExpansionCache};
 use sdnprobe_baselines::{Atpg, PerRuleTester};
-use sdnprobe_bench::{arg, f3, flag, parallelism, summary, ResultTable};
+use sdnprobe_bench::{arg, declare_flags, f3, flag, parallelism, summary, ResultTable};
 use sdnprobe_rulegraph::RuleGraph;
 use sdnprobe_workloads::fig8_suite;
 
 fn main() {
+    declare_flags("fig8a", &["--topologies N", "--full", "--threads N"]);
     let par = parallelism();
     let count = if flag("full") {
         100

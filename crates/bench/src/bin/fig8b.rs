@@ -13,11 +13,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdnprobe::{ProbeConfig, RandomizedSdnProbe, SdnProbe};
 use sdnprobe_baselines::{Atpg, PerRuleTester};
-use sdnprobe_bench::{arg, f3, flag, parallelism, secs, summary, ResultTable};
+use sdnprobe_bench::{arg, declare_flags, f3, flag, parallelism, secs, summary, ResultTable};
 use sdnprobe_dataplane::{FaultKind, FaultSpec};
 use sdnprobe_workloads::fig8_suite;
 
 fn main() {
+    declare_flags("fig8b", &["--topologies N", "--full", "--threads N"]);
     let config = ProbeConfig {
         parallelism: parallelism(),
         ..ProbeConfig::default()

@@ -11,7 +11,7 @@
 
 use sdnprobe::{ProbeConfig, RandomizedSdnProbe, SdnProbe};
 use sdnprobe_baselines::{Atpg, PerRuleTester};
-use sdnprobe_bench::{arg, f3, parallelism, secs, summary, ResultTable};
+use sdnprobe_bench::{arg, declare_flags, f3, parallelism, secs, summary, ResultTable};
 use sdnprobe_topology::generate::rocketfuel_like;
 use sdnprobe_workloads::{
     inject_random_basic_faults, synthesize, BasicFaultMix, SyntheticNetwork, WorkloadSpec,
@@ -33,6 +33,7 @@ fn build(switches: usize, flows: usize) -> SyntheticNetwork {
 }
 
 fn main() {
+    declare_flags("fig8c", &["--switches N", "--flows N", "--threads N"]);
     let config = ProbeConfig {
         parallelism: parallelism(),
         ..ProbeConfig::default()

@@ -11,7 +11,7 @@
 
 use sdnprobe::{accuracy, ProbeConfig, RandomizedSdnProbe, SdnProbe};
 use sdnprobe_baselines::{Atpg, PerRuleTester};
-use sdnprobe_bench::{arg, f3, parallelism, summary, ResultTable};
+use sdnprobe_bench::{arg, declare_flags, f3, parallelism, summary, ResultTable};
 use sdnprobe_topology::generate::rocketfuel_like;
 use sdnprobe_workloads::{
     inject_random_basic_faults, synthesize, BasicFaultMix, SyntheticNetwork, WorkloadSpec,
@@ -36,6 +36,7 @@ fn build(seed: u64) -> SyntheticNetwork {
 type Scheme = Box<dyn FnOnce(&mut SyntheticNetwork) -> (f64, f64)>;
 
 fn main() {
+    declare_flags("fig9a", &["--runs N", "--threads N"]);
     let base = ProbeConfig {
         parallelism: parallelism(),
         ..ProbeConfig::default()

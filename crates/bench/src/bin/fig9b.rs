@@ -15,7 +15,7 @@
 
 use sdnprobe::{accuracy, ProbeConfig, RandomizedSdnProbe, SdnProbe};
 use sdnprobe_baselines::{Atpg, PerRuleTester};
-use sdnprobe_bench::{arg, f3, parallelism, summary, ResultTable};
+use sdnprobe_bench::{arg, declare_flags, f3, parallelism, summary, ResultTable};
 use sdnprobe_topology::generate::rocketfuel_like;
 use sdnprobe_workloads::{inject_colluding_detours, synthesize, SyntheticNetwork, WorkloadSpec};
 
@@ -35,6 +35,7 @@ fn build(seed: u64) -> SyntheticNetwork {
 }
 
 fn main() {
+    declare_flags("fig9b", &["--runs N", "--rounds N", "--threads N"]);
     let base = ProbeConfig {
         parallelism: parallelism(),
         ..ProbeConfig::default()

@@ -13,12 +13,13 @@
 use std::time::Instant;
 
 use sdnprobe::{generate_with_cache, ExpansionCache};
-use sdnprobe_bench::{f3, parallelism, summary, ResultTable};
+use sdnprobe_bench::{declare_flags, f3, parallelism, summary, ResultTable};
 use sdnprobe_headerspace::solver::WitnessQuery;
 use sdnprobe_rulegraph::RuleGraph;
 use sdnprobe_workloads::{synthesize_campus, CampusSpec};
 
 fn main() {
+    declare_flags("realdata", &["--threads N"]);
     let campus = synthesize_campus(&CampusSpec::default());
     let started = Instant::now();
     let graph = RuleGraph::from_network(&campus.network).expect("loop-free campus policy");

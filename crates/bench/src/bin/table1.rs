@@ -6,7 +6,7 @@
 
 use sdnprobe::{accuracy, Accuracy, ProbeConfig, RandomizedSdnProbe, SdnProbe};
 use sdnprobe_baselines::{Atpg, PerRuleTester};
-use sdnprobe_bench::{arg, parallelism, summary, ResultTable};
+use sdnprobe_bench::{arg, declare_flags, parallelism, summary, ResultTable};
 use sdnprobe_dataplane::{FaultKind, FaultSpec, Network};
 use sdnprobe_topology::generate::rocketfuel_like;
 use sdnprobe_workloads::{
@@ -86,6 +86,7 @@ fn average(accs: &[Accuracy]) -> Accuracy {
 }
 
 fn main() {
+    declare_flags("table1", &["--runs N", "--threads N"]);
     let base = ProbeConfig {
         parallelism: parallelism(),
         ..ProbeConfig::default()

@@ -10,17 +10,18 @@
 //! whole table regenerates in minutes; pass `--scale 1.0` to attempt
 //! paper scale (the paper itself needed 2,549 s for row 5).
 //!
-//! Usage: `cargo run -p sdnprobe-bench --release --bin table2 [--scale F] [--threads N]`
+//! Usage: `cargo run -p sdnprobe-bench --release --bin table2 [--scale F] [--full] [--threads N]`
 
 use std::time::Instant;
 
 use sdnprobe::{generate_with_cache, ExpansionCache};
-use sdnprobe_bench::{arg, f3, flag, parallelism, summary, ResultTable};
+use sdnprobe_bench::{arg, declare_flags, f3, flag, parallelism, summary, ResultTable};
 use sdnprobe_rulegraph::RuleGraph;
 use sdnprobe_topology::generate::rocketfuel_like;
 use sdnprobe_workloads::{synthesize_to_rule_count, table2_suite};
 
 fn main() {
+    declare_flags("table2", &["--scale F", "--full", "--threads N"]);
     let par = parallelism();
     let scale: f64 = if flag("full") {
         1.0

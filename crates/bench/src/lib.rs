@@ -97,6 +97,55 @@ impl ResultTable {
     }
 }
 
+/// Checks the command line against the flags a binary accepts, each
+/// written as in its usage line: `"--runs N"` for a flag that takes a
+/// value, `"--full"` for one that does not. Call it first in `main`:
+/// `--help` prints the usage line and exits 0, and an undeclared flag or
+/// a stray argument is a usage error, exit 2. Either way nothing runs
+/// and nothing is written.
+pub fn declare_flags(bin: &str, flags: &[&str]) {
+    let args: Vec<String> = std::env::args().collect();
+    let usage = format!(
+        "Usage: {bin} {}",
+        flags
+            .iter()
+            .map(|f| format!("[{f}]"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    );
+    match check_flags(&args, flags) {
+        Ok(false) => {}
+        Ok(true) => {
+            println!("{usage}");
+            std::process::exit(0)
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n{usage}");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// [`declare_flags`] over an explicit argument list (program name
+/// first): `Ok(true)` when `--help` is asked for, `Err` for an argument
+/// the binary does not accept.
+fn check_flags(args: &[String], flags: &[&str]) -> Result<bool, String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(a) = rest.next() {
+        if a == "--help" {
+            return Ok(true);
+        }
+        let spec = flags
+            .iter()
+            .find(|f| f.split(' ').next() == Some(a.as_str()))
+            .ok_or_else(|| format!("unknown argument {a:?}"))?;
+        if spec.contains(' ') && rest.next().is_none() {
+            return Err(format!("{a} needs a value"));
+        }
+    }
+    Ok(false)
+}
+
 /// True if `--flag` appears on the command line.
 pub fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == format!("--{name}"))
@@ -184,6 +233,22 @@ mod tests {
         assert_eq!(parse_arg::<usize>(&args, "rounds"), Ok(None));
         assert!(parse_arg::<f64>(&args, "scale").is_err());
         assert!(parse_arg::<usize>(&args, "threads").is_err());
+    }
+
+    #[test]
+    fn undeclared_flags_are_rejected() {
+        let flags = ["--scale F", "--full", "--threads N"];
+        let check = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            check_flags(&args, &flags)
+        };
+        assert_eq!(check(&["bin"]), Ok(false));
+        assert_eq!(check(&["bin", "--scale", "0.2", "--full"]), Ok(false));
+        assert_eq!(check(&["bin", "--threads", "2", "--help"]), Ok(true));
+        assert!(check(&["bin", "--bogus-flag"]).is_err());
+        assert!(check(&["bin", "--full", "0.2"]).is_err());
+        assert!(check(&["bin", "--scale"]).is_err());
+        assert!(check(&["bin", "--runs", "5"]).is_err());
     }
 
     #[test]

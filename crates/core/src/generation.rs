@@ -336,11 +336,10 @@ fn build_plan(
 ) -> TestPlan {
     let covers = matcher.cover_paths();
     // Stage 1 (sequential): each matched cover path's canonical
-    // expansion. The matcher probed every final chain, so this is a memo
-    // lookup almost everywhere — it only re-derives paths whose cached
-    // proof was a non-canonical witness — and on a reused cache it is
-    // pure lookups. Going through the cache is what lets those
-    // derivations survive into later runs.
+    // expansion. The matcher probed the final chains, so this is mostly
+    // memo lookups — pairs and single vertices, which it checks by a
+    // closure lookup alone, run their small search here — and on a
+    // reused cache it is pure lookups.
     let paths: Vec<Vec<VertexId>> = covers
         .iter()
         .map(|cover| {

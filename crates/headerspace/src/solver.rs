@@ -15,19 +15,7 @@
 //! benchmarked against the paper's reported 0.5–2.4 ms per header.
 
 use crate::header::Header;
-use crate::set::HeaderSet;
 use crate::ternary::Ternary;
-
-/// Statistics from a solver invocation, for benchmarking and diagnostics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Branching decisions taken.
-    pub decisions: u64,
-    /// Bits forced by unit propagation.
-    pub propagations: u64,
-    /// Conflicts encountered (backtracks).
-    pub conflicts: u64,
-}
 
 /// A witness query: one positive pattern and a set of negative patterns.
 ///
@@ -88,11 +76,6 @@ impl WitnessQuery {
     ///
     /// Panics if any negative's length differs from the positive's.
     pub fn solve(&self) -> Option<Header> {
-        self.solve_with_stats().0
-    }
-
-    /// Like [`WitnessQuery::solve`], also returning search statistics.
-    pub fn solve_with_stats(&self) -> (Option<Header>, SolveStats) {
         let len = self.positive.len();
         let mut clauses: Vec<Ternary> = Vec::with_capacity(self.negatives.len());
         for q in &self.negatives {
@@ -100,34 +83,13 @@ impl WitnessQuery {
             // Restrict q to the positive: only the overlap can be matched.
             match self.positive.intersect(q) {
                 // The positive is entirely inside q: unsatisfiable.
-                Some(_) if self.positive.is_subset_of(q) => {
-                    return (None, SolveStats::default());
-                }
+                Some(_) if self.positive.is_subset_of(q) => return None,
                 Some(_) => clauses.push(*q),
                 None => {} // disjoint: vacuously avoided
             }
         }
-        let mut stats = SolveStats::default();
-        let result = dpll(self.positive, &clauses, &mut stats);
-        (result.map(|t| t.min_header()), stats)
+        dpll(self.positive, &clauses).map(|t| t.min_header())
     }
-
-    /// True if no witness exists (the difference is empty).
-    pub fn is_empty(&self) -> bool {
-        self.solve().is_none()
-    }
-}
-
-/// Finds a header contained in `positives` that avoids every negative.
-///
-/// Convenience wrapper trying [`WitnessQuery`] on each DNF term of the
-/// positive set in order.
-pub fn witness_in_set(positives: &HeaderSet, negatives: &[Ternary]) -> Option<Header> {
-    positives.terms().iter().find_map(|t| {
-        WitnessQuery::new(*t)
-            .avoid_all(negatives.iter().copied())
-            .solve()
-    })
 }
 
 /// DPLL over the partial assignment `assign` (fixed bits = decided).
@@ -135,7 +97,7 @@ pub fn witness_in_set(positives: &HeaderSet, negatives: &[Ternary]) -> Option<He
 /// A clause `q` is *satisfied* once `assign` fixes some bit of `q.care`
 /// to the opposite value, *violated* when `assign ⊆ q`, and *unit* when
 /// exactly one `q`-fixed bit is still free and all others agree with `q`.
-fn dpll(assign: Ternary, clauses: &[Ternary], stats: &mut SolveStats) -> Option<Ternary> {
+fn dpll(assign: Ternary, clauses: &[Ternary]) -> Option<Ternary> {
     let mut assign = assign;
     // Unit propagation to fixpoint.
     loop {
@@ -150,14 +112,12 @@ fn dpll(assign: Ternary, clauses: &[Ternary], stats: &mut SolveStats) -> Option<
             match free.count_ones() {
                 0 => {
                     // All of q's bits agree: assignment region ⊆ q.
-                    stats.conflicts += 1;
                     return None;
                 }
                 1 => {
                     let k = free.trailing_zeros();
                     let forced = q.value_bits() >> k & 1 == 0; // flip q's bit
                     assign = assign.with_bit(k, forced);
-                    stats.propagations += 1;
                     changed = true;
                 }
                 _ => {}
@@ -191,7 +151,6 @@ fn dpll(assign: Ternary, clauses: &[Ternary], stats: &mut SolveStats) -> Option<
         // Every clause satisfied: any completion works.
         return Some(assign);
     };
-    stats.decisions += 1;
     // Try the value that immediately differs from more clauses first.
     let zeros = clauses
         .iter()
@@ -203,7 +162,7 @@ fn dpll(assign: Ternary, clauses: &[Ternary], stats: &mut SolveStats) -> Option<
         .count();
     let preferred = zeros < ones; // assigning `false` satisfies `zeros` clauses
     for value in [preferred, !preferred] {
-        if let Some(found) = dpll(assign.with_bit(k, value), clauses, stats) {
+        if let Some(found) = dpll(assign.with_bit(k, value), clauses) {
             return Some(found);
         }
     }
@@ -247,16 +206,16 @@ mod tests {
         // match 00100xxx shadowed by higher-priority 0010xxxx.
         assert!(WitnessQuery::new(t("00100xxx"))
             .avoid(t("0010xxxx"))
-            .is_empty());
+            .solve()
+            .is_none());
     }
 
     #[test]
     fn disjoint_negatives_are_ignored() {
-        let (h, stats) = WitnessQuery::new(t("00xxxxxx"))
+        let h = WitnessQuery::new(t("00xxxxxx"))
             .avoid(t("11xxxxxx"))
-            .solve_with_stats();
+            .solve();
         assert!(h.is_some());
-        assert_eq!(stats.conflicts, 0);
     }
 
     #[test]
@@ -278,7 +237,8 @@ mod tests {
         assert!(WitnessQuery::new(Ternary::wildcard(4))
             .avoid(t("0xxx"))
             .avoid(t("1xxx"))
-            .is_empty());
+            .solve()
+            .is_none());
     }
 
     #[test]
@@ -306,7 +266,10 @@ mod tests {
     #[test]
     fn exhausting_all_headers_is_unsat() {
         let all: Vec<Header> = t("00xx").enumerate().collect();
-        assert!(WitnessQuery::new(t("00xx")).avoid_headers(all).is_empty());
+        assert!(WitnessQuery::new(t("00xx"))
+            .avoid_headers(all)
+            .solve()
+            .is_none());
     }
 
     #[test]
@@ -339,25 +302,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn witness_in_set_tries_all_terms() {
-        let positives = HeaderSet::from_union([t("0000"), t("11xx")]);
-        // 0000 is forbidden, so the witness must come from 11xx.
-        let h = witness_in_set(&positives, &[t("00xx")]).expect("11xx open");
-        assert!(t("11xx").matches(h));
-        assert!(witness_in_set(&HeaderSet::empty(4), &[]).is_none());
-    }
-
-    #[test]
-    fn stats_are_populated() {
-        let (_, stats) = WitnessQuery::new(Ternary::wildcard(8))
-            .avoid(t("0xxxxxxx"))
-            .avoid(t("x0xxxxxx"))
-            .avoid(t("xx0xxxxx"))
-            .solve_with_stats();
-        assert!(stats.decisions + stats.propagations > 0);
     }
 
     #[test]

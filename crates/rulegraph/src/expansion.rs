@@ -3,58 +3,36 @@
 //! The matcher in Algorithm 1 probes `expand_cover_path` as a throwaway
 //! legality predicate on every candidate augmentation, and successive
 //! probes overwhelmingly share cover-path structure: a chain grows one
-//! closure edge at a time (an *extension* probe), or an augmenting path
-//! splices a new head onto an already-validated chain (a *splice*
-//! probe). [`ExpansionCache`] remembers, per exact cover path, either
-//! that no legal expansion exists (`Dead`), the first-in-DFS-order
-//! expansion (`Alive`), or some valid expansion that answers liveness
-//! only (`Witness`). Entries hold real paths only: the chained header
-//! set at a path's end is recomputed from the path when an entry seeds
-//! an extension or a splice head, which keeps an entry at 32 bytes
-//! inline and lets one memo live for a whole randomized session.
+//! closure edge at a time. [`ExpansionCache`] remembers, per exact cover
+//! path, either that no legal expansion exists (`Dead`) or the
+//! first-in-DFS-order expansion (`Alive`). Entries hold real paths
+//! only: the chained header set at a path's end is recomputed from the
+//! path when an entry seeds an extension, which keeps an entry at 16
+//! bytes inline and lets one memo live for a whole randomized session.
 //!
-//! Liveness of a composite path factorizes at any cover vertex: a
-//! cached real path through the prefix ends in a chained set `S`, a
-//! cached real path through the rest imposes a backward entry
-//! requirement `E` at the same point (set-field rewrites act per term,
-//! so `E` is exact), and the spliced real path is legal **iff
-//! `S ∩ E ≠ ∅`**. Probes reduce to memoized set algebra instead of a
-//! depth-first search:
+//! A probe takes the first of these that applies:
 //!
-//! - extension `[c0..ck]`: continue the prefix entry's real path across
-//!   the final segment — one `chain` call when the closure edge is a
-//!   direct step edge, a single-segment search otherwise;
-//! - splice `[c0, c1, ..]`: overlap the head segment's chained set with
-//!   the suffix entry's memoized tail requirement (the suffix is
-//!   resolved recursively, usually an exact hit).
-//!
-//! A failed composition is *not* a proof of death (other expansions of
-//! either side may compose), so negative probes fall back to the
-//! exhaustive DFS; cheap proofs of death (a Dead prefix, suffix, or
-//! constituent pair — sound by prefix-locality and monotonicity of
-//! chaining) short-circuit first.
+//! 1. an exact entry answers it;
+//! 2. a `Dead` one-short prefix makes it `Dead` (prefix-locality: any
+//!    legal expansion would expand the prefix too);
+//! 3. an `Alive` one-short prefix is resumed across the final cover
+//!    segment, a single-segment search from the end of its real path;
+//!    a failed resume is not a proof of death and falls through;
+//! 4. a pair without a closure edge is `Dead` (the closure's defining
+//!    predicate);
+//! 5. everything else runs the exhaustive DFS, which also memoizes the
+//!    first completion of every proper prefix it reaches.
 //!
 //! # Bit-identity
 //!
-//! Probe booleans are exact (constructive witnesses, exhaustive
+//! Probe booleans are exact (constructive successes, exhaustive
 //! negatives), so the matcher's decisions are identical to the uncached
-//! build. The expansion handed out for the final plan must *also* be
-//! bit-identical — the chosen real path decides probe headers — and
-//! `Witness` entries are existence proofs only, not necessarily the
-//! first-in-DFS-order expansion. They never seed resumed searches, and
-//! [`RuleGraph::expand_cover_path_cached`] re-derives the canonical
-//! expansion before handing a path out. Canonical `Alive` prefixes may
-//! seed a resumed DFS: the full-path DFS reaches prefix states in
-//! first-expansion order, so a successful resume equals the uncached
-//! first success, and a failed resume falls back to the full DFS.
-//!
-//! The rule graph is acyclic (construction and incremental updates both
-//! reject loops), which the overlap composition leans on: the two real
-//! segments joined at a cover vertex can never share another vertex (a
-//! shared vertex would close a cycle through the joint), so composites
-//! stay simple paths, the simple-path constraint never binds across
-//! segments, and a single-segment search needs no visit marks for the
-//! prefix it continues.
+//! build, and every `Alive` entry is the expansion the uncached DFS
+//! returns, so the path handed out for the final plan (whose real path
+//! decides probe headers) is too. A resume keeps that: the full-path
+//! DFS reaches prefix states in first-expansion order, so a successful
+//! resume of the canonical prefix equals the uncached first success,
+//! and a failed resume falls back to the full DFS.
 
 use std::collections::HashMap;
 
@@ -81,33 +59,21 @@ fn unpack(path: &[u32]) -> Vec<VertexId> {
 }
 
 /// Cached outcome for one exact cover path. No header set is stored
-/// inline: the chained set at the end of `real` is recomputed with
-/// `chain_along` on the rare probes that need it.
+/// inline: the chained set at the end of an `Alive` path is recomputed
+/// with `chain_along` when the entry seeds an extension.
 #[derive(Debug)]
 enum CacheEntry {
     /// No legal simple expansion exists. Always derived from an
     /// exhaustive search or a sound proof of death, so liveness answers
     /// are exact.
     Dead,
-    /// The *first-in-DFS-order* expansion. Only these may seed resumed
-    /// searches or be returned as the expansion itself.
-    Alive {
-        real: Box<[u32]>,
-        /// Lazily memoized backward requirement of `real[1..]` at
-        /// `real[0]`'s output, for use as a suffix in splice probes.
-        tail_entry: Option<Box<HeaderSet>>,
-    },
-    /// Some valid expansion (from overlap composition), answering
-    /// liveness probes only; `tail_entry` as for `Alive`.
-    Witness {
-        real: Box<[u32]>,
-        tail_entry: Option<Box<HeaderSet>>,
-    },
+    /// The first-in-DFS-order expansion.
+    Alive(Box<[u32]>),
 }
 
 // A session holds one memo for its whole life, so an entry must not
 // silently grow back to carrying header sets inline.
-const _: () = assert!(std::mem::size_of::<CacheEntry>() <= 32);
+const _: () = assert!(std::mem::size_of::<CacheEntry>() <= 16);
 
 /// First-completion snapshots collected during one traced DFS run: the
 /// state at the *first* entry of each segment boundary `b` (prefix
@@ -181,7 +147,8 @@ impl ExpansionCache {
         self.map.is_empty()
     }
 
-    /// Probes answered from memory (exact, extension, or splice hits).
+    /// Probes answered without a full DFS (exact hits, dead prefixes,
+    /// resumed prefixes, and pairs without a closure edge).
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -199,46 +166,16 @@ impl ExpansionCache {
         }
     }
 
-    /// A live entry's real path and its tail requirement, which the
-    /// caller has already filled.
-    fn live_tail(&self, key: &[u32]) -> (&[u32], &HeaderSet) {
-        match self.map.get(key) {
-            Some(CacheEntry::Alive {
-                real,
-                tail_entry: Some(req),
-            })
-            | Some(CacheEntry::Witness {
-                real,
-                tail_entry: Some(req),
-            }) => (real, req),
-            _ => unreachable!("splice suffix is live with its tail requirement filled"),
-        }
-    }
-
-    /// Folds one traced DFS run into the memo: every snapshot is an
-    /// `Alive` entry for its prefix. When `dead_unreached` is set (an
-    /// exhausted from-scratch run), boundaries the DFS never entered
-    /// have provably no expansion and become `Dead` entries.
-    fn absorb(&mut self, key: &[u32], trace: PrefixTrace, dead_unreached: bool) {
+    /// Folds one exhaustive from-scratch DFS run into the memo: every
+    /// snapshot is an `Alive` entry for its prefix, and a boundary the
+    /// run never entered has provably no expansion, so it becomes
+    /// `Dead` (only a failed run leaves one unentered).
+    fn absorb(&mut self, key: &[u32], trace: PrefixTrace) {
         for (i, snap) in trace.snaps.into_iter().enumerate() {
             let prefix = &key[..i + 2];
-            if self.map.contains_key(prefix) {
-                continue;
-            }
-            match snap {
-                Some(real) => {
-                    self.map.insert(
-                        prefix.into(),
-                        CacheEntry::Alive {
-                            real,
-                            tail_entry: None,
-                        },
-                    );
-                }
-                None if dead_unreached => {
-                    self.map.insert(prefix.into(), CacheEntry::Dead);
-                }
-                None => {}
+            if !self.map.contains_key(prefix) {
+                let entry = snap.map_or(CacheEntry::Dead, CacheEntry::Alive);
+                self.map.insert(prefix.into(), entry);
             }
         }
     }
@@ -258,41 +195,16 @@ impl RuleGraph {
         if !self.probe(cover, cache) {
             return None;
         }
-        let key = pack(cover);
-        match cache.map.get(&key) {
-            Some(CacheEntry::Alive { real, .. }) => Some(unpack(real)),
-            Some(CacheEntry::Witness { .. }) => {
-                // The entry is a liveness witness, not necessarily the
-                // first-in-DFS-order expansion — re-derive the canonical
-                // one so the returned path is bit-identical to the
-                // uncached DFS.
-                let mut visited = std::mem::take(&mut cache.visited);
-                visited.begin(self.vertices.len());
-                visited.insert(cover[0].0);
-                let mut real = vec![cover[0]];
-                let start = self.vertex(cover[0]).output.clone();
-                let mut trace = PrefixTrace::new(cover.len());
-                self.expand_rec(cover, 1, start, &mut real, &mut visited, Some(&mut trace))
-                    .expect("probe proved an expansion exists");
-                cache.visited = visited;
-                cache.absorb(&key, trace, false);
-                cache.map.insert(
-                    key,
-                    CacheEntry::Alive {
-                        real: pack(&real),
-                        tail_entry: None,
-                    },
-                );
-                Some(real)
-            }
+        match cache.map.get(&*pack(cover)) {
+            Some(CacheEntry::Alive(real)) => Some(unpack(real)),
             _ => unreachable!("probe recorded a live entry for this cover path"),
         }
     }
 
     /// True iff [`expand_cover_path`](Self::expand_cover_path) would
-    /// succeed — the matcher's legality predicate — without deriving the
-    /// canonical expansion. Overwhelmingly answered by memoized set
-    /// algebra instead of a search.
+    /// succeed — the matcher's legality predicate. Mostly answered from
+    /// the memo or by resuming a memoized prefix instead of a full
+    /// search.
     pub fn is_cover_path_expandable(&self, cover: &[VertexId], cache: &mut ExpansionCache) -> bool {
         // A two-vertex cover path is expandable exactly when the legal
         // closure edge exists — that is the closure's defining predicate
@@ -315,19 +227,6 @@ impl RuleGraph {
         set
     }
 
-    /// Chains `set` across the direct step-1 edge `from → to`, if that
-    /// edge exists. A non-empty result proves the single-hop real
-    /// segment `[from, to]` legal under `set` — the cheapest possible
-    /// witness for one cover segment; an empty (or absent) result
-    /// proves nothing, since a multi-hop segment may still chain.
-    fn direct_chain(&self, from: VertexId, to: VertexId, set: &HeaderSet) -> Option<HeaderSet> {
-        if self.step1[from.0].contains(&to) {
-            Some(self.chain(set, to))
-        } else {
-            None
-        }
-    }
-
     /// Ensures `cache` holds an entry for `cover`; returns its liveness.
     fn probe(&self, cover: &[VertexId], cache: &mut ExpansionCache) -> bool {
         if cover.is_empty() {
@@ -340,76 +239,31 @@ impl RuleGraph {
             return !matches!(entry, CacheEntry::Dead);
         }
         if cover.len() > 2 {
-            // Extension probe: the one-vertex-short prefix is the chain
-            // the matcher just grew. A Dead prefix settles the path
-            // (prefix-locality); a live one seeds a single-segment
-            // search from the end state of its real path — Alive
-            // prefixes yield the canonical expansion, Witness prefixes a
-            // composite witness.
-            let prefix = match cache.map.get(&key[..cover.len() - 1]) {
-                None => None,
+            // Extension probe: the one-vertex-short prefix is usually
+            // the chain the matcher just grew.
+            match cache.map.get(&key[..cover.len() - 1]) {
                 Some(CacheEntry::Dead) => {
                     cache.hits += 1;
                     cache.map.insert(key, CacheEntry::Dead);
                     return false;
                 }
-                Some(CacheEntry::Alive { real, .. }) => Some((real, true)),
-                Some(CacheEntry::Witness { real, .. }) => Some((real, false)),
-            };
-            let Some((prefix, canonical)) = prefix else {
-                // Splice probe: no prefix entry, but the suffix is
-                // usually the chain that was just spliced onto — resolve
-                // it (and the head segment) recursively and compose by
-                // overlap. A Dead suffix or head pair settles the path
-                // (the restriction of any legal expansion to those cover
-                // vertices would expand them; chaining is monotone).
-                return self.probe_splice_witness(cover, key, cache);
-            };
-            let set = self.chain_along(prefix);
-            let mut real = unpack(prefix);
-            let live = |real: &[VertexId]| {
-                let real = pack(real);
-                if canonical {
-                    CacheEntry::Alive {
-                        real,
-                        tail_entry: None,
+                Some(CacheEntry::Alive(prefix)) => {
+                    let set = self.chain_along(prefix);
+                    let mut real = unpack(prefix);
+                    if self.extend_segment(cover, &mut real, set, cache) {
+                        cache.hits += 1;
+                        cache.map.insert(key, CacheEntry::Alive(pack(&real)));
+                        return true;
                     }
-                } else {
-                    CacheEntry::Witness {
-                        real,
-                        tail_entry: None,
-                    }
+                    // Not a proof of death: the uncached DFS would now
+                    // backtrack into a different prefix expansion, and
+                    // only the full DFS reproduces that exactly.
                 }
-            };
-            // Single-hop shortcut for a witness: the result need not be
-            // the first-in-DFS-order segment, so any legal continuation
-            // will do.
-            let last = cover[cover.len() - 1];
-            if !canonical
-                && self
-                    .direct_chain(cover[cover.len() - 2], last, &set)
-                    .is_some_and(|chained| !chained.is_empty())
-            {
-                real.push(last);
-                cache.hits += 1;
-                cache.map.insert(key, live(&real));
-                return true;
+                None => {}
             }
-            if self.extend_segment(cover, &mut real, set, cache) {
-                cache.hits += 1;
-                cache.map.insert(key, live(&real));
-                return true;
-            }
-            // Not a proof of death: the uncached DFS would now backtrack
-            // into a different prefix expansion, and only the full DFS
-            // reproduces that exactly.
-            return self.probe_scratch(cover, key, cache);
-        }
-        // Pairs die by a closure lookup — the closure's defining predicate —
-        // but live pairs still run the (small) search: their canonical
-        // real path is a much stronger splice donor than a single-hop
-        // witness would be.
-        if cover.len() == 2 && !self.has_closure_edge(cover[0], cover[1]) {
+        } else if cover.len() == 2 && !self.has_closure_edge(cover[0], cover[1]) {
+            // A pair dies by a closure lookup, the closure's defining
+            // predicate; a live pair still searches for its canonical path.
             cache.hits += 1;
             cache.map.insert(key, CacheEntry::Dead);
             return false;
@@ -437,88 +291,6 @@ impl RuleGraph {
         r.is_some()
     }
 
-    /// Splice probe: compose the head segment's chained set with the
-    /// suffix entry's memoized tail requirement by overlap. Falls back
-    /// to the exhaustive DFS when the composition fails.
-    fn probe_splice_witness(
-        &self,
-        cover: &[VertexId],
-        key: Box<[u32]>,
-        cache: &mut ExpansionCache,
-    ) -> bool {
-        if !cache.map.contains_key(&key[1..]) {
-            self.probe(&cover[1..], cache);
-        }
-        match cache.map.get_mut(&key[1..]) {
-            Some(CacheEntry::Dead) => {
-                cache.hits += 1;
-                cache.map.insert(key, CacheEntry::Dead);
-                return false;
-            }
-            Some(CacheEntry::Alive { real, tail_entry })
-            | Some(CacheEntry::Witness { real, tail_entry }) => {
-                if tail_entry.is_none() {
-                    // Backward requirement of the donor's tail at
-                    // `real[0]`'s output: a set chains through
-                    // `real[1..]` to a non-empty end iff it meets this
-                    // projection.
-                    let tail = self.path_entry_space(&unpack(&real[1..]));
-                    *tail_entry = Some(Box::new(tail));
-                }
-            }
-            None => unreachable!("suffix probe always records an entry"),
-        }
-        // Single-hop shortcut for the head segment: chaining the head's
-        // output across a direct step edge proves the composite with
-        // one set operation, no pair expansion.
-        if let Some(chained) = self.direct_chain(cover[0], cover[1], &self.vertex(cover[0]).output)
-        {
-            let (tail, req) = cache.live_tail(&key[1..]);
-            if chained.intersects(req) {
-                let real = std::iter::once(key[0])
-                    .chain(tail.iter().copied())
-                    .collect();
-                cache.hits += 1;
-                cache.map.insert(
-                    key,
-                    CacheEntry::Witness {
-                        real,
-                        tail_entry: None,
-                    },
-                );
-                return true;
-            }
-        }
-        // General head segment: the pair's canonical expansion (cached
-        // across splice attempts sharing the head).
-        if !cache.map.contains_key(&key[..2]) {
-            self.probe(&cover[..2], cache);
-        }
-        let head = match cache.map.get(&key[..2]) {
-            Some(CacheEntry::Dead) => {
-                cache.hits += 1;
-                cache.map.insert(key, CacheEntry::Dead);
-                return false;
-            }
-            Some(CacheEntry::Alive { real, .. }) => real,
-            _ => unreachable!("pair probe always records Dead or Alive"),
-        };
-        let (tail, req) = cache.live_tail(&key[1..]);
-        if !self.chain_along(head).intersects(req) {
-            return self.probe_scratch(cover, key, cache);
-        }
-        let real = head.iter().chain(&tail[1..]).copied().collect();
-        cache.hits += 1;
-        cache.map.insert(
-            key,
-            CacheEntry::Witness {
-                real,
-                tail_entry: None,
-            },
-        );
-        true
-    }
-
     /// Exhaustive from-scratch DFS — the exact fallback — recording the
     /// outcome and every first-completion prefix snapshot.
     fn probe_scratch(
@@ -538,14 +310,9 @@ impl RuleGraph {
             .expand_rec(cover, 1, start, &mut real, &mut visited, Some(&mut trace))
             .is_some();
         cache.visited = visited;
-        // A failed from-scratch run was exhaustive: any boundary it
-        // never entered has no expansion at all.
-        cache.absorb(&key, trace, !found);
+        cache.absorb(&key, trace);
         let entry = if found {
-            CacheEntry::Alive {
-                real: pack(&real),
-                tail_entry: None,
-            }
+            CacheEntry::Alive(pack(&real))
         } else {
             CacheEntry::Dead
         };

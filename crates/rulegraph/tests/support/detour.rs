@@ -10,7 +10,7 @@
 //! direct step-1 edge to `c` *and* a longer real path `d → t → c`, and
 //! `d` outranks `c`, so it comes first in step-1 order: the canonical
 //! (first-in-DFS-order) expansion of a cover path through `c` takes the
-//! detour, while a witness composed by overlap takes the direct edge.
+//! detour, even though the direct edge is legal too.
 //!
 //! Half the bounces also set a poison bit `p_i := 1`, and half the next
 //! spine rules require `p_i = 0`: then the canonical detour prefix
@@ -18,7 +18,9 @@
 //! rules on noise bits add parallel branches.
 //!
 //! Shared by the legality-engine and plan-determinism tests, which use
-//! these graphs to reach the expansion memo's `Witness` branches.
+//! these graphs to check that the expansion memo hands out the canonical
+//! path where a shorter legal one exists, and to reach its fallback from
+//! a failed prefix resume.
 
 use rand::rngs::StdRng;
 use rand::Rng;
