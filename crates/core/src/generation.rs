@@ -210,8 +210,9 @@ impl<'g> LegalMatcher<'g> {
 
     /// Maximum legal matching: Kuhn-style augmenting search over closure
     /// edges with legality validation at every tentative edge addition.
-    /// Left vertices are processed in topological order so chains match
-    /// on the first try.
+    /// Active left vertices are processed in vertex-id order
+    /// (switch-major, as `vertex_ids` yields them); plans depend on that
+    /// order.
     fn run_maximum(&mut self) {
         // Take the order out instead of cloning it; restored below.
         let order = std::mem::take(&mut self.active);

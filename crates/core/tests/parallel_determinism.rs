@@ -301,10 +301,11 @@ fn assert_canonical(graph: &RuleGraph, plan: &TestPlan, what: &str) {
 
 #[test]
 fn detour_graph_plans_match_uncached_expansions() {
-    // On detour graphs the memo composes witnesses that differ from the
-    // canonical expansion (see `support/detour.rs`), so a plan that
-    // handed one out would show here: fresh, warm and session-held
-    // memos must all plan the uncached expansions, identically.
+    // On detour graphs the canonical expansion is not the shortest legal
+    // path and prefix resumes fail (see `support/detour.rs`), so a plan
+    // that handed out any other legal expansion would show here: fresh,
+    // warm and session-held memos must all plan the uncached expansions,
+    // identically.
     let mut packets = 0;
     sdnprobe_integration::check(24, 2018, |rng| {
         let graph = RuleGraph::from_network(&detour::detour_network(rng)).expect("DAG");

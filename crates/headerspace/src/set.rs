@@ -8,6 +8,19 @@
 //!
 //! The representation is kept small with subsumption pruning: any term
 //! that is a subset of another term is dropped.
+//!
+//! # Provable no-ops
+//!
+//! Intersection and the set-field transform hand `self` back unchanged,
+//! term for term, when they can prove the result equals it: an
+//! all-wildcard set field rewrites nothing, and intersecting with a set
+//! that holds a superset of every term of `self` keeps every term. The
+//! full pair loop would give the same terms in the same order: each
+//! contributed term `u ∩ v` is a subset of its source term `u`, the
+//! containing `v` contributes `u` itself, and `insert` only prunes
+//! subsumed terms, so over pairwise non-subsuming terms the loop keeps
+//! exactly `u` at the position of `u`. Order matters because
+//! [`HeaderSet::any_header`] and [`HeaderSet::sample_header`] read it.
 
 use std::fmt;
 
@@ -153,8 +166,23 @@ impl HeaderSet {
         out
     }
 
-    /// Intersection of two sets (pairwise term intersection).
+    /// True if every term of `self` is a subset of some term of `other`.
+    ///
+    /// This implies `self ⊆ other` (the converse fails when a term of
+    /// `self` straddles several terms of `other`), so `self ∩ other` is
+    /// `self`, term for term (see the module docs).
+    pub fn is_termwise_subset_of(&self, other: &HeaderSet) -> bool {
+        self.terms
+            .iter()
+            .all(|u| other.terms.iter().any(|v| u.is_subset_of(v)))
+    }
+
+    /// Intersection of two sets (pairwise term intersection). Returns
+    /// `self` unchanged when [`HeaderSet::is_termwise_subset_of`] holds.
     pub fn intersect(&self, other: &HeaderSet) -> HeaderSet {
+        if self.is_termwise_subset_of(other) {
+            return self.clone();
+        }
         let mut out = HeaderSet::empty(self.len);
         for u in &self.terms {
             for v in &other.terms {
@@ -222,7 +250,11 @@ impl HeaderSet {
     /// Applies a set-field rewrite to the whole set: `T(self, set_field)`.
     ///
     /// The image of each term is itself a ternary, so the result is exact.
+    /// An all-wildcard set field leaves the set as it is.
     pub fn apply_set_field(&self, set_field: &Ternary) -> HeaderSet {
+        if set_field.is_wildcard() {
+            return self.clone();
+        }
         let mut out = HeaderSet::empty(self.len);
         for u in &self.terms {
             out.insert(u.apply_set_field(set_field));
@@ -231,8 +263,12 @@ impl HeaderSet {
     }
 
     /// Preimage of the whole set under a set-field rewrite: headers `h`
-    /// with `T(h, set_field) ∈ self`.
+    /// with `T(h, set_field) ∈ self`. An all-wildcard set field leaves the
+    /// set as it is.
     pub fn preimage_under(&self, set_field: &Ternary) -> HeaderSet {
+        if set_field.is_wildcard() {
+            return self.clone();
+        }
         let mut out = HeaderSet::empty(self.len);
         for u in &self.terms {
             if let Some(p) = u.preimage_under(set_field) {
@@ -261,6 +297,9 @@ impl HeaderSet {
     /// In-place [`HeaderSet::intersect`]; same term order as the pure
     /// variant.
     pub fn intersect_in_place(&mut self, other: &HeaderSet) {
+        if self.is_termwise_subset_of(other) {
+            return;
+        }
         let old = std::mem::take(&mut self.terms);
         for u in old.iter() {
             for v in &other.terms {
@@ -294,6 +333,9 @@ impl HeaderSet {
     /// In-place [`HeaderSet::apply_set_field`]; same term order as the
     /// pure variant.
     pub fn apply_set_field_in_place(&mut self, set_field: &Ternary) {
+        if set_field.is_wildcard() {
+            return;
+        }
         let old = std::mem::take(&mut self.terms);
         for u in old.iter() {
             self.insert(u.apply_set_field(set_field));

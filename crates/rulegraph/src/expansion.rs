@@ -34,6 +34,7 @@
 //! resume of the canonical prefix equals the uncached first success,
 //! and a failed resume falls back to the full DFS.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use sdnprobe_classifier::IdHashBuilder;
@@ -218,11 +219,14 @@ impl RuleGraph {
     /// The chained header set at the end of a stored real path,
     /// starting from the full output space of its head. This is the set
     /// the DFS held when it first completed the path, so it replaces a
-    /// stored copy exactly.
-    fn chain_along(&self, real: &[u32]) -> HeaderSet {
-        let mut set = self.vertex(VertexId(real[0] as usize)).output.clone();
+    /// stored copy exactly. Borrows the head's output for as long as no
+    /// step changes it.
+    fn chain_along(&self, real: &[u32]) -> Cow<'_, HeaderSet> {
+        let mut set = Cow::Borrowed(&self.vertex(VertexId(real[0] as usize)).output);
         for &v in &real[1..] {
-            set = self.chain(&set, VertexId(v as usize));
+            if let Cow::Owned(next) = self.chain_borrowed(&set, VertexId(v as usize)) {
+                set = Cow::Owned(next);
+            }
         }
         set
     }
@@ -250,7 +254,7 @@ impl RuleGraph {
                 Some(CacheEntry::Alive(prefix)) => {
                     let set = self.chain_along(prefix);
                     let mut real = unpack(prefix);
-                    if self.extend_segment(cover, &mut real, set, cache) {
+                    if self.extend_segment(cover, &mut real, &set, cache) {
                         cache.hits += 1;
                         cache.map.insert(key, CacheEntry::Alive(pack(&real)));
                         return true;
@@ -281,14 +285,14 @@ impl RuleGraph {
         &self,
         cover: &[VertexId],
         real: &mut Vec<VertexId>,
-        set: HeaderSet,
+        set: &HeaderSet,
         cache: &mut ExpansionCache,
     ) -> bool {
         let mut visited = std::mem::take(&mut cache.visited);
         visited.begin(self.vertices.len());
-        let r = self.expand_rec(cover, cover.len() - 1, set, real, &mut visited, None);
+        let found = self.expand_rec(cover, cover.len() - 1, set, real, &mut visited, None);
         cache.visited = visited;
-        r.is_some()
+        found
     }
 
     /// Exhaustive from-scratch DFS — the exact fallback — recording the
@@ -304,11 +308,9 @@ impl RuleGraph {
         visited.begin(self.vertices.len());
         visited.insert(cover[0].0);
         let mut real = vec![cover[0]];
-        let start = self.vertex(cover[0]).output.clone();
+        let start = &self.vertex(cover[0]).output;
         let mut trace = PrefixTrace::new(cover.len());
-        let found = self
-            .expand_rec(cover, 1, start, &mut real, &mut visited, Some(&mut trace))
-            .is_some();
+        let found = self.expand_rec(cover, 1, start, &mut real, &mut visited, Some(&mut trace));
         cache.visited = visited;
         cache.absorb(&key, trace);
         let entry = if found {

@@ -12,6 +12,7 @@
 //! A routing loop (cycle in the step-1 graph) is rejected at
 //! construction, per the paper's loop-free-policy assumption.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
 use sdnprobe_classifier::TernaryTrie;
@@ -331,10 +332,21 @@ impl RuleGraph {
 
     /// The paper's `O_{i+1} = T(O_i ∩ r.in, r.s)` chain step.
     pub fn chain(&self, set: &HeaderSet, v: VertexId) -> HeaderSet {
+        self.chain_borrowed(set, v).into_owned()
+    }
+
+    /// [`chain`](Self::chain) that hands `set` back borrowed when the
+    /// step provably leaves it unchanged: `v` sets no field and every
+    /// term of `set` lies inside a term of `v`'s input (the header-set
+    /// no-op rules). Walks that only pass the set on skip the clone.
+    pub(crate) fn chain_borrowed<'a>(&self, set: &'a HeaderSet, v: VertexId) -> Cow<'a, HeaderSet> {
         let vert = self.vertex(v);
+        if vert.set_field.is_wildcard() && set.is_termwise_subset_of(&vert.input) {
+            return Cow::Borrowed(set);
+        }
         let mut out = set.intersect(&vert.input);
         out.apply_set_field_in_place(&vert.set_field);
-        out
+        Cow::Owned(out)
     }
 
     /// Header space of packets that can traverse an entire *real* path
@@ -402,8 +414,10 @@ impl RuleGraph {
         visited.begin(self.vertices.len());
         visited.insert(cover[0].0);
         let mut real = vec![cover[0]];
-        let start = self.vertex(cover[0]).output.clone();
-        self.expand_rec(cover, 1, start, &mut real, &mut visited, None)?;
+        let start = &self.vertex(cover[0]).output;
+        if !self.expand_rec(cover, 1, start, &mut real, &mut visited, None) {
+            return None;
+        }
         // The DFS already chained a non-empty set through every step, so
         // the forward legality pass is settled; only the backward
         // projection to entry headers remains.
@@ -416,18 +430,18 @@ impl RuleGraph {
         &self,
         cover: &[VertexId],
         seg: usize,
-        set: HeaderSet,
+        set: &HeaderSet,
         real: &mut Vec<VertexId>,
         visited: &mut VisitSet,
         mut trace: Option<&mut PrefixTrace>,
-    ) -> Option<HeaderSet> {
+    ) -> bool {
         // First entry at each segment boundary is the first-in-DFS-order
         // expansion of that cover prefix — snapshot it for the memo.
         if let Some(t) = trace.as_deref_mut() {
             t.record(seg, real);
         }
         if seg == cover.len() {
-            return Some(set);
+            return true;
         }
         let target = cover[seg];
         let from = *real.last().expect("real path is non-empty");
@@ -444,11 +458,11 @@ impl RuleGraph {
         seg: usize,
         from: VertexId,
         target: VertexId,
-        set: HeaderSet,
+        set: &HeaderSet,
         real: &mut Vec<VertexId>,
         visited: &mut VisitSet,
         mut trace: Option<&mut PrefixTrace>,
-    ) -> Option<HeaderSet> {
+    ) -> bool {
         for &next in &self.step1[from.0] {
             // Prune: `next` must be the target or reach it legally.
             if next != target && self.closure[next.0].binary_search(&target).is_err() {
@@ -458,33 +472,40 @@ impl RuleGraph {
             if visited.contains(next.0) {
                 continue;
             }
-            let chained = self.chain(&set, next);
+            let chained = self.chain_borrowed(set, next);
             if chained.is_empty() {
                 continue;
             }
             real.push(next);
             visited.insert(next.0);
-            let result = if next == target {
-                self.expand_rec(cover, seg + 1, chained, real, visited, trace.as_deref_mut())
+            let found = if next == target {
+                self.expand_rec(
+                    cover,
+                    seg + 1,
+                    &chained,
+                    real,
+                    visited,
+                    trace.as_deref_mut(),
+                )
             } else {
                 self.dfs_expand(
                     cover,
                     seg,
                     next,
                     target,
-                    chained,
+                    &chained,
                     real,
                     visited,
                     trace.as_deref_mut(),
                 )
             };
-            if result.is_some() {
-                return result;
+            if found {
+                return true;
             }
             real.pop();
             visited.remove(next.0);
         }
-        None
+        false
     }
 
     /// Builds every step-1 edge of a graph that has none yet,

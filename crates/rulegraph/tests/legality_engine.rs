@@ -271,7 +271,8 @@ fn chains(graph: &RuleGraph, rng: &mut StdRng) -> Vec<Vec<VertexId>> {
 
 /// The same prefix-first and full-path-first passes as
 /// `cached_expansion_matches_uncached`, over detour graphs, where the
-/// memo holds witnesses that differ from the canonical expansion.
+/// canonical expansion is not the shortest legal path and resuming a
+/// memoized prefix can fail where the full DFS succeeds.
 #[test]
 fn cached_expansion_matches_uncached_on_detour_graphs() {
     let mut case = 0;
