@@ -326,16 +326,9 @@ impl Atpg {
 }
 
 fn pick_header(graph: &RuleGraph, path: &[VertexId], taken: &mut Vec<Header>) -> Header {
-    let hs = graph.path_header_space(path);
-    let header = hs
-        .terms()
-        .iter()
-        .find_map(|t| {
-            sdnprobe_headerspace::solver::WitnessQuery::new(*t)
-                .avoid_headers(taken.iter().copied())
-                .solve()
-        })
-        .or_else(|| hs.any_header())
+    let header = graph
+        .path_header_space(path)
+        .unique_header(taken)
         .expect("path must be legal");
     taken.push(header);
     header
@@ -350,12 +343,7 @@ fn send_round(
     mut on_result: impl FnMut(&sdnprobe::ActiveProbe, bool),
 ) {
     report.rounds += 1;
-    let bytes = probes.len() * config.probe_bytes;
-    let send_ns = (bytes as u128 * 1_000_000_000 / config.send_rate_bytes_per_sec as u128) as u64;
-    net.advance_ns(send_ns + config.round_trip_ns);
-    report.elapsed_ns += send_ns + config.round_trip_ns;
-    report.probes_sent += probes.len();
-    report.bytes_sent += bytes;
+    config.charge_send(net, report, probes.len());
     for p in probes {
         let ok = harness.send(net, p);
         on_result(p, ok);

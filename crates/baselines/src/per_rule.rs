@@ -112,16 +112,9 @@ impl PerRuleTester {
         let mut probes = Vec::new();
         for planned in &paths {
             let path = &planned.path;
-            let hs = graph.path_header_space(path);
-            let header = hs
-                .terms()
-                .iter()
-                .find_map(|t| {
-                    sdnprobe_headerspace::solver::WitnessQuery::new(*t)
-                        .avoid_headers(taken.iter().copied())
-                        .solve()
-                })
-                .or_else(|| hs.any_header())
+            let header = graph
+                .path_header_space(path)
+                .unique_header(&taken)
                 .expect("planned path is legal");
             taken.push(header);
             probes.push((
@@ -138,13 +131,7 @@ impl PerRuleTester {
         let mut flagged: Vec<VertexId> = Vec::new();
         for _ in 0..self.config.max_rounds {
             report.rounds += 1;
-            let bytes = probes.len() * self.config.probe_bytes;
-            let send_ns = (bytes as u128 * 1_000_000_000
-                / self.config.send_rate_bytes_per_sec as u128) as u64;
-            net.advance_ns(send_ns + self.config.round_trip_ns);
-            report.elapsed_ns += send_ns + self.config.round_trip_ns;
-            report.probes_sent += probes.len();
-            report.bytes_sent += bytes;
+            self.config.charge_send(net, &mut report, probes.len());
             let mut unresolved_failure = false;
             for (probe, target) in &probes {
                 if harness.send(net, probe) {

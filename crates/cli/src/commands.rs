@@ -359,6 +359,16 @@ pub fn trace(spec: &ScenarioSpec, at: usize, header: &str) -> Result<Vec<String>
             "header must be concrete (no wildcards)".to_string(),
         ));
     }
+    // `build` checked that every rule parses and that all share a width.
+    if let Some(rule) = spec.rules.first() {
+        let width = rule.match_field.parse::<Ternary>().map_or(0, |m| m.len());
+        if pattern.len() != width {
+            return Err(SpecError::Invalid(format!(
+                "header is {} bits but the scenario's rules are {width}",
+                pattern.len()
+            )));
+        }
+    }
     let trace = net.inject(sdnprobe_topology::SwitchId(at), pattern.min_header());
     let mut out = Vec::new();
     for (i, step) in trace.steps.iter().enumerate() {
@@ -490,8 +500,15 @@ mod tests {
         let lines = trace(&spec, spec.rules[0].switch, &header).unwrap();
         assert!(lines.last().unwrap().starts_with("outcome:"), "{lines:?}");
         assert!(lines.len() >= 2, "at least one hop plus outcome: {lines:?}");
-        // Wildcards are rejected.
+        // Wildcards and other widths are rejected.
         assert!(trace(&spec, 0, "xxxx").is_err());
+        let short = &header[..header.len() - 1];
+        let err = trace(&spec, 0, short).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("{} bits", short.len()))
+                && err.contains(&header.len().to_string()),
+            "{err}"
+        );
         assert!(trace(&spec, 999, &header).is_err());
     }
 

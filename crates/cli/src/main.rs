@@ -27,9 +27,11 @@
 //! distinguish benign loss from real faults before raising suspicion).
 //! The same chaos seed replays the same losses at any `--threads`.
 //!
-//! A flag given without a value, a value that does not parse, or a rate
-//! outside `[0, 1]` is a usage error (exit code 2), never a silent
-//! default.
+//! Each command takes only its own flags. An unknown flag, a stray
+//! argument, a flag given without a value, a value that does not parse,
+//! or a rate outside `[0, 1]` is a usage error (exit code 2), never a
+//! silent default. Output piped into a reader that stops early (`| head`)
+//! ends quietly with exit code 0.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,6 +39,7 @@
 mod commands;
 mod spec;
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -54,9 +57,43 @@ enum Failure {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  sdnprobe synth [--switches N] [--links N] [--flows N] [--faults N] [--seed N] [--campus] -o FILE\n  sdnprobe plan FILE [--verbose] [--threads N]\n  sdnprobe diagnose FILE\n  sdnprobe detect FILE [--randomized] [--rounds N] [--seed N] [--threads N] [chaos flags]\n  sdnprobe trace FILE --at SWITCH --header BITS\n  sdnprobe monitor FILE [--rounds N] [--seed N] [--threads N] [chaos flags]\n\nchaos flags (error-prone environment):\n  --loss-rate P --ctrl-loss-rate P --flowmod-failure-rate P\n  --chaos-seed N --confirm-retries N"
+        "usage:\n  sdnprobe synth [--switches N] [--links N] [--flows N] [--faults N] [--seed N] [-o FILE]\n  sdnprobe synth --campus [--seed N] [-o FILE]\n  sdnprobe plan FILE [--verbose] [--threads N]\n  sdnprobe diagnose FILE\n  sdnprobe detect FILE [--randomized] [--rounds N] [--seed N] [--threads N] [chaos flags]\n  sdnprobe trace FILE --at SWITCH --header BITS\n  sdnprobe monitor FILE [--rounds N] [--seed N] [--threads N] [chaos flags]\n\nchaos flags (error-prone environment):\n  --loss-rate P --ctrl-loss-rate P --flowmod-failure-rate P\n  --chaos-seed N --confirm-retries N"
     );
     ExitCode::from(2)
+}
+
+/// The flags of the error-prone environment, shared by `detect` and
+/// `monitor`.
+const CHAOS_FLAGS: [&str; 5] = [
+    "--loss-rate P",
+    "--ctrl-loss-rate P",
+    "--flowmod-failure-rate P",
+    "--chaos-seed N",
+    "--confirm-retries N",
+];
+
+/// Checks a command's arguments: after the command word come
+/// `positional` arguments (the scenario file), then only the flags in
+/// `flags`, each written as in the usage text: `"--threads N"` takes a
+/// value, `"--verbose"` does not. Anything else, and a flag given
+/// twice (only its first value would count), is a usage error.
+fn check_flags(args: &[String], positional: usize, flags: &[&str]) -> Result<(), Failure> {
+    let mut rest = args.iter().skip(1 + positional);
+    let mut seen = Vec::new();
+    while let Some(a) = rest.next() {
+        let spec = flags
+            .iter()
+            .find(|f| f.split(' ').next() == Some(a.as_str()))
+            .ok_or_else(|| Failure::Usage(Some(format!("unknown argument {a:?}"))))?;
+        if seen.contains(spec) {
+            return Err(Failure::Usage(Some(format!("{a} given twice"))));
+        }
+        seen.push(spec);
+        if spec.contains(' ') && rest.next().is_none() {
+            return Err(Failure::Usage(Some(format!("{a} needs a value"))));
+        }
+    }
+    Ok(())
 }
 
 fn flag(args: &[String], name: &str) -> bool {
@@ -116,9 +153,30 @@ fn run_failed(e: impl std::fmt::Display) -> Failure {
 
 fn run(args: &[String]) -> Result<Vec<String>, Failure> {
     let command = args.first().ok_or(Failure::Usage(None))?;
+    let with_chaos = |own: &[&'static str]| [own, &CHAOS_FLAGS[..]].concat();
     match command.as_str() {
         "synth" => {
-            let spec = if flag(args, "--campus") {
+            // The campus backbone has a fixed shape.
+            let campus = flag(args, "--campus");
+            let shape: &[&str] = if campus {
+                &["--campus"]
+            } else {
+                &["--switches N", "--links N", "--flows N", "--faults N"]
+            };
+            check_flags(
+                args,
+                0,
+                &[shape, &["--seed N", "-o FILE", "--out FILE"]].concat(),
+            )?;
+            let out = match (value::<String>(args, "-o")?, value(args, "--out")?) {
+                (Some(_), Some(_)) => {
+                    return Err(Failure::Usage(Some(
+                        "-o and --out name one file".to_string(),
+                    )))
+                }
+                (o, out) => o.or(out),
+            };
+            let spec = if campus {
                 commands::synth_campus(value(args, "--seed")?.unwrap_or(2018))
             } else {
                 commands::synth(
@@ -129,10 +187,6 @@ fn run(args: &[String]) -> Result<Vec<String>, Failure> {
                     value(args, "--seed")?.unwrap_or(7),
                 )
             };
-            let out = match value::<String>(args, "-o")? {
-                Some(path) => Some(path),
-                None => value(args, "--out")?,
-            };
             match out {
                 Some(path) => std::fs::write(&path, spec.to_json())
                     .map(|()| vec![format!("wrote {} rules to {path}", spec.rules.len())])
@@ -141,11 +195,20 @@ fn run(args: &[String]) -> Result<Vec<String>, Failure> {
             }
         }
         "plan" => {
+            check_flags(args, 1, &["--verbose", "--threads N"])?;
             let threads = value(args, "--threads")?;
             commands::plan(&scenario(args)?, flag(args, "--verbose"), threads).map_err(run_failed)
         }
-        "diagnose" => commands::diagnose(&scenario(args)?).map_err(run_failed),
+        "diagnose" => {
+            check_flags(args, 1, &[])?;
+            commands::diagnose(&scenario(args)?).map_err(run_failed)
+        }
         "monitor" => {
+            check_flags(
+                args,
+                1,
+                &with_chaos(&["--rounds N", "--seed N", "--threads N"]),
+            )?;
             let (rounds, seed) = (value(args, "--rounds")?, value(args, "--seed")?);
             let (threads, chaos) = (value(args, "--threads")?, chaos_opts(args)?);
             commands::monitor(
@@ -158,11 +221,15 @@ fn run(args: &[String]) -> Result<Vec<String>, Failure> {
             .map_err(run_failed)
         }
         "trace" => {
+            check_flags(args, 1, &["--at SWITCH", "--header BITS"])?;
             let at = value(args, "--at")?.unwrap_or(0usize);
-            let header: String = value(args, "--header")?.unwrap_or_default();
+            let header: String = value(args, "--header")?
+                .ok_or_else(|| Failure::Usage(Some("trace needs --header BITS".to_string())))?;
             commands::trace(&scenario(args)?, at, &header).map_err(run_failed)
         }
         "detect" => {
+            let own = ["--randomized", "--rounds N", "--seed N", "--threads N"];
+            check_flags(args, 1, &with_chaos(&own))?;
             let (rounds, seed) = (value(args, "--rounds")?, value(args, "--seed")?);
             let (threads, chaos) = (value(args, "--threads")?, chaos_opts(args)?);
             commands::detect(
@@ -179,15 +246,29 @@ fn run(args: &[String]) -> Result<Vec<String>, Failure> {
     }
 }
 
+/// Writes the output lines. A reader that closes the pipe before the
+/// end (`| head`) has all it asked for, so that ends the output quietly.
+fn write_lines(out: &mut impl Write, lines: &[String]) -> io::Result<()> {
+    let written = lines
+        .iter()
+        .try_for_each(|line| writeln!(out, "{line}"))
+        .and_then(|()| out.flush());
+    match written {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        other => other,
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(lines) => {
-            for line in lines {
-                println!("{line}");
+        Ok(lines) => match write_lines(&mut io::stdout().lock(), &lines) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("error: writing output: {e}");
+                ExitCode::FAILURE
             }
-            ExitCode::SUCCESS
-        }
+        },
         Err(Failure::Usage(message)) => {
             if let Some(m) = message {
                 eprintln!("error: {m}");
@@ -258,6 +339,20 @@ mod tests {
             "detect missing.json --threads abc",
             "monitor missing.json --ctrl-loss-rate nan",
             "plan missing.json --threads",
+            // Misspelled, foreign and stray arguments.
+            "plan missing.json --thread 1",
+            "detect missing.json --loss-rat 0.5",
+            "plan missing.json --bogus",
+            "diagnose missing.json --verbose",
+            "plan missing.json extra.json",
+            "synth --campus stray",
+            "trace missing.json --at 0 --header 0010 --verbose",
+            "monitor missing.json --randomized",
+            "detect missing.json --rounds 3 --randomized --rounds 1",
+            "synth -o a.json --out b.json",
+            "synth --campus --switches 5",
+            // `trace` has nothing to inject without a header.
+            "trace missing.json --at 0",
         ] {
             assert!(
                 matches!(run(&args(line)), Err(Failure::Usage(Some(_)))),
@@ -268,7 +363,61 @@ mod tests {
             run(&args("detect missing.json")),
             Err(Failure::Run(_))
         ));
+        assert!(matches!(
+            run(&args(
+                "detect missing.json --randomized --rounds 3 --chaos-seed 4"
+            )),
+            Err(Failure::Run(_))
+        ));
+        assert!(matches!(
+            run(&args("trace missing.json --at 0 --header 0010")),
+            Err(Failure::Run(_))
+        ));
         assert_eq!(run(&args("")), Err(Failure::Usage(None)));
         assert_eq!(run(&args("bogus")), Err(Failure::Usage(None)));
+        assert_eq!(run(&args("plan")), Err(Failure::Usage(None)));
+    }
+
+    /// A writer that takes `room` bytes, then fails with `kind`.
+    struct Closing {
+        room: usize,
+        kind: io::ErrorKind,
+    }
+
+    impl Write for Closing {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::Error::from(self.kind));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_ends_the_output_quietly() {
+        let lines: Vec<String> = (0..100).map(|i| format!("probe {i}")).collect();
+        let mut buf = Vec::new();
+        write_lines(&mut buf, &lines).unwrap();
+        assert_eq!(buf, format!("{}\n", lines.join("\n")).into_bytes());
+
+        for room in [0, 5, 40] {
+            let mut pipe = Closing {
+                room,
+                kind: io::ErrorKind::BrokenPipe,
+            };
+            assert!(write_lines(&mut pipe, &lines).is_ok(), "room {room}");
+            let mut disk = Closing {
+                room,
+                kind: io::ErrorKind::StorageFull,
+            };
+            let err = write_lines(&mut disk, &lines).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::StorageFull, "room {room}");
+        }
     }
 }

@@ -19,8 +19,7 @@
 
 use rand::seq::SliceRandom;
 use rand::RngCore;
-use sdnprobe_headerspace::solver::WitnessQuery;
-use sdnprobe_headerspace::{Header, HeaderSet, Ternary};
+use sdnprobe_headerspace::{Header, HeaderSet};
 use sdnprobe_rulegraph::{ExpansionCache, RuleGraph, VertexId};
 
 use crate::parallel::{parallel_map, Parallelism};
@@ -360,11 +359,7 @@ fn build_plan(
     let mut probes = Vec::new();
     let mut taken = TakenHeaders::default();
     for ((cover, path), header_space) in covers.into_iter().zip(paths).zip(spaces) {
-        let header = choose_header(graph, &path, &header_space, &taken, strategy)
-            // Header spaces exhausted by uniqueness constraints are
-            // practically impossible (spaces ≫ probe count); fall back to
-            // any member rather than failing the whole plan.
-            .unwrap_or_else(|| header_space.any_header().expect("legal path is non-empty"));
+        let header = choose_header(graph, &path, &header_space, &taken, strategy);
         taken.push(header);
         probes.push(PlannedProbe {
             entry_switch: graph.vertex(path[0]).switch,
@@ -403,14 +398,17 @@ impl TakenHeaders {
 
 /// Picks a unique header from `HS(ℓ)`: must not collide with another
 /// probe's header (§VI's uniqueness constraint). Each strategy tries its
-/// own pick first; the witness solver settles collisions.
+/// own pick first; [`HeaderSet::unique_header`] settles collisions.
+/// Header spaces exhausted by uniqueness constraints are practically
+/// impossible (spaces ≫ probe count); then any member is taken rather
+/// than failing the whole plan.
 fn choose_header(
     graph: &RuleGraph,
     path: &[VertexId],
     space: &HeaderSet,
     taken: &TakenHeaders,
     strategy: &mut Strategy<'_>,
-) -> Option<Header> {
+) -> Header {
     let unique = |h: Option<Header>| h.filter(|h| !taken.contains(h));
     // Rejection-sample a few times before falling back to the solver.
     let sampled = |rng: &mut dyn RngCore| (0..16).find_map(|_| unique(space.sample_header(rng)));
@@ -421,31 +419,16 @@ fn choose_header(
             unique(profile.sample_for_path(graph, path, space, *rng)).or_else(|| sampled(*rng))
         }
     };
-    picked.or_else(|| solve_unique(space, taken))
-}
-
-/// A header of `space` no other probe carries. Each term's query gets
-/// only the taken headers inside that term, in insertion order: the
-/// solver drops the others anyway, so the clause list and the answer are
-/// the same, without a scan over every taken header inside the solver.
-fn solve_unique(space: &HeaderSet, taken: &TakenHeaders) -> Option<Header> {
-    space.terms().iter().find_map(|t| {
-        WitnessQuery::new(*t)
-            .avoid_all(
-                taken
-                    .ordered
-                    .iter()
-                    .filter(|h| t.matches(**h))
-                    .map(|h| Ternary::from_header(*h)),
-            )
-            .solve()
-    })
+    picked
+        .or_else(|| space.unique_header(&taken.ordered))
+        .expect("legal path is non-empty")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdnprobe_dataplane::{Action, FlowEntry, Network, TableId};
+    use sdnprobe_headerspace::Ternary;
     use sdnprobe_topology::{PortId, SwitchId, Topology};
 
     fn t(s: &str) -> Ternary {

@@ -60,6 +60,20 @@ pub struct ProbeConfig {
 }
 
 impl ProbeConfig {
+    /// Charges one send of `probes` probes to the wire model every scheme
+    /// shares (§VIII): the probes serialize at `send_rate_bytes_per_sec`,
+    /// then one control-plane round trip passes. Advances the network's
+    /// virtual clock by that time and adds the probes, their bytes and
+    /// the time to `report`; counting rounds is the caller's.
+    pub fn charge_send(&self, net: &mut Network, report: &mut DetectionReport, probes: usize) {
+        let bytes = probes * self.probe_bytes;
+        let send_ns = (bytes as u128 * 1_000_000_000 / self.send_rate_bytes_per_sec as u128) as u64;
+        net.advance_ns(send_ns + self.round_trip_ns);
+        report.probes_sent += probes;
+        report.bytes_sent += bytes;
+        report.elapsed_ns += send_ns + self.round_trip_ns;
+    }
+
     /// The flow-mod retry policy this configuration implies.
     pub fn retry_policy(&self) -> RetryPolicy {
         RetryPolicy {
@@ -217,14 +231,7 @@ impl FaultLocalizer {
                 }
             }
             report.rounds += 1;
-            // Serialize the round's probes onto the wire.
-            let bytes = active.len() * self.config.probe_bytes;
-            let send_ns = (bytes as u128 * 1_000_000_000
-                / self.config.send_rate_bytes_per_sec as u128) as u64;
-            net.advance_ns(send_ns + self.config.round_trip_ns);
-            report.probes_sent += active.len();
-            report.bytes_sent += bytes;
-            report.elapsed_ns += send_ns + self.config.round_trip_ns;
+            self.config.charge_send(net, &mut report, active.len());
 
             // Phase 1 (parallel): send the whole round. Injection only
             // reads the network, so fanning out cannot change outcomes.
@@ -304,12 +311,7 @@ impl FaultLocalizer {
         report: &mut DetectionReport,
     ) -> bool {
         for _ in 0..self.config.confirm_retries {
-            let send_ns = (self.config.probe_bytes as u128 * 1_000_000_000
-                / self.config.send_rate_bytes_per_sec as u128) as u64;
-            net.advance_ns(send_ns + self.config.round_trip_ns);
-            report.probes_sent += 1;
-            report.bytes_sent += self.config.probe_bytes;
-            report.elapsed_ns += send_ns + self.config.round_trip_ns;
+            self.config.charge_send(net, report, 1);
             if harness.send(net, probe) {
                 return true;
             }
@@ -413,6 +415,25 @@ mod tests {
         let (probes, _) = harness.install_plan_tolerant(net, graph, &plan).unwrap();
         let mut localizer = FaultLocalizer::new(config);
         localizer.run(net, graph, &mut harness, probes).unwrap()
+    }
+
+    #[test]
+    fn charge_send_serializes_then_waits_one_round_trip() {
+        let (mut net, _) = line5();
+        let config = ProbeConfig::default();
+        let mut report = DetectionReport::default();
+        let start = net.now_ns();
+        // 8 probes of 125 B at 250 KB/s take 4 ms, plus the 50 ms trip.
+        config.charge_send(&mut net, &mut report, 8);
+        assert_eq!((report.probes_sent, report.bytes_sent), (8, 1000));
+        assert_eq!(report.elapsed_ns, 54_000_000);
+        assert_eq!(net.now_ns() - start, 54_000_000);
+        // One more probe: 0.5 ms on the wire, and the counters add up.
+        config.charge_send(&mut net, &mut report, 1);
+        assert_eq!((report.probes_sent, report.bytes_sent), (9, 1125));
+        assert_eq!(report.elapsed_ns, 104_500_000);
+        assert_eq!(net.now_ns() - start, 104_500_000);
+        assert_eq!(report.rounds, 0, "rounds are the caller's to count");
     }
 
     #[test]

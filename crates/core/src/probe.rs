@@ -415,8 +415,7 @@ pub(crate) fn header_sequence(graph: &RuleGraph, path: &[VertexId], entry: Heade
     let mut out = Vec::with_capacity(path.len());
     let mut h = entry;
     for &v in path {
-        let s = graph.vertex(v).set_field;
-        h = Header::new((h.bits() & !s.care_mask()) | s.value_bits(), h.len());
+        h = h.apply_set_field(&graph.vertex(v).set_field);
         out.push(h);
     }
     out

@@ -666,13 +666,10 @@ impl Network {
                         FaultKind::Drop => return (Outcome::Dropped { switch }, header),
                         FaultKind::Modify(bad_set) => {
                             // Malicious rewrite, then the normal action.
-                            header = Header::new(
-                                (header.bits() & !bad_set.care_mask()) | bad_set.value_bits(),
-                                header.len(),
-                            );
+                            header = header.apply_set_field(&bad_set);
                         }
                         FaultKind::Misdirect(port) => {
-                            header = apply_set(header, entry);
+                            header = header.apply_set_field(&entry.set_field());
                             let Some(peer) = self.topology.peer_of(switch, port) else {
                                 return (Outcome::LeftNetwork { switch, port }, header);
                             };
@@ -703,7 +700,7 @@ impl Network {
                     }
                 }
             }
-            header = apply_set(header, entry);
+            header = header.apply_set_field(&entry.set_field());
             match entry.action() {
                 Action::Drop => return (Outcome::Dropped { switch }, header),
                 Action::ToController => {
@@ -747,14 +744,6 @@ fn packet_in(outcome: Outcome, final_header: Header) -> Option<(SwitchId, Header
         Outcome::PacketIn { switch } => Some((switch, final_header)),
         _ => None,
     }
-}
-
-fn apply_set(header: Header, entry: &FlowEntry) -> Header {
-    let s = entry.set_field();
-    Header::new(
-        (header.bits() & !s.care_mask()) | s.value_bits(),
-        header.len(),
-    )
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::ternary::MAX_BITS;
+use crate::ternary::{Ternary, MAX_BITS};
 
 /// A concrete packet header: `len` bits, every bit fixed.
 ///
@@ -91,6 +91,16 @@ impl Header {
             len: self.len,
         }
     }
+
+    /// The header after a set-field rewrite, `T(h, set_field)`: bits the
+    /// set field fixes take its values, the others are kept. The
+    /// concrete counterpart of [`Ternary::apply_set_field`].
+    pub fn apply_set_field(&self, set_field: &Ternary) -> Self {
+        Self::new(
+            (self.bits & !set_field.care_mask()) | set_field.value_bits(),
+            self.len,
+        )
+    }
 }
 
 impl fmt::Display for Header {
@@ -133,6 +143,18 @@ mod tests {
         let h = Header::new(0, 8).with_bit(3, true).with_bit(7, true);
         assert_eq!(h.bits(), 0b1000_1000);
         assert_eq!(h.with_bit(3, false).bits(), 0b1000_0000);
+    }
+
+    #[test]
+    fn set_field_rewrites_only_fixed_bits() {
+        let h = Header::new(0b0000_1111, 8);
+        // Bit 0 first: the set field fixes bit 0 to 0 and bit 1 to 1.
+        let s: Ternary = "01xxxxxx".parse().unwrap();
+        assert_eq!(h.apply_set_field(&s).bits(), 0b0000_1110);
+        assert_eq!(h.apply_set_field(&Ternary::wildcard(8)), h);
+        // The image is a member of the ternary image.
+        let m = Ternary::from_header(h);
+        assert!(m.apply_set_field(&s).matches(h.apply_set_field(&s)));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!
 //! // Legality of a path is a chain of intersections and set-field
 //! // transforms; a path is legal iff the running set stays non-empty.
-//! let b2_out: Ternary = "0011xxxx".parse()?;
-//! assert!(!c2_in.intersect_ternary(&b2_out).is_empty());
+//! let b2_out = HeaderSet::from("0011xxxx".parse::<Ternary>()?);
+//! assert!(!c2_in.intersect(&b2_out).is_empty());
 //!
 //! // And a concrete probe header avoiding the overlapping rule:
 //! let probe = WitnessQuery::new(c2_match).avoid(c1_match).solve();

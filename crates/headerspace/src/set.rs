@@ -4,7 +4,10 @@
 //! (DNF) of [`Ternary`] patterns, following Header Space Analysis. It
 //! supports the operations SDNProbe needs along a tested path:
 //! intersection (`O_i ∩ r.in`), subtraction (`r.m − ⋃ q.m` for overlapping
-//! rules), and the set-field transform `T(·, r.s)`.
+//! rules), and the set-field transform `T(·, r.s)`. Each has one form:
+//! intersection and subtraction build a new set, and the set-field
+//! transform rewrites a set in place, so a chain step rewrites the
+//! intersection it has just built.
 //!
 //! The representation is kept small with subsumption pruning: any term
 //! that is a subset of another term is dropped.
@@ -27,6 +30,7 @@ use std::fmt;
 use rand::RngCore;
 
 use crate::header::Header;
+use crate::solver::WitnessQuery;
 use crate::termvec::TermVec;
 use crate::ternary::Ternary;
 
@@ -155,17 +159,6 @@ impl HeaderSet {
         true
     }
 
-    /// Intersection with a single pattern.
-    pub fn intersect_ternary(&self, t: &Ternary) -> HeaderSet {
-        let mut out = HeaderSet::empty(self.len);
-        for u in &self.terms {
-            if let Some(i) = u.intersect(t) {
-                out.insert(i);
-            }
-        }
-        out
-    }
-
     /// True if every term of `self` is a subset of some term of `other`.
     ///
     /// This implies `self ⊆ other` (the converse fails when a term of
@@ -247,21 +240,6 @@ impl HeaderSet {
         out
     }
 
-    /// Applies a set-field rewrite to the whole set: `T(self, set_field)`.
-    ///
-    /// The image of each term is itself a ternary, so the result is exact.
-    /// An all-wildcard set field leaves the set as it is.
-    pub fn apply_set_field(&self, set_field: &Ternary) -> HeaderSet {
-        if set_field.is_wildcard() {
-            return self.clone();
-        }
-        let mut out = HeaderSet::empty(self.len);
-        for u in &self.terms {
-            out.insert(u.apply_set_field(set_field));
-        }
-        out
-    }
-
     /// Preimage of the whole set under a set-field rewrite: headers `h`
     /// with `T(h, set_field) ∈ self`. An all-wildcard set field leaves the
     /// set as it is.
@@ -278,65 +256,16 @@ impl HeaderSet {
         out
     }
 
-    /// In-place [`HeaderSet::intersect_ternary`]: replaces `self` with
-    /// `self ∩ t`.
+    /// Applies a set-field rewrite to the whole set in place:
+    /// `self ← T(self, set_field)`.
     ///
-    /// Replays exactly the insert sequence of the pure variant, so the
-    /// resulting term order — observable through [`HeaderSet::terms`] and
-    /// [`HeaderSet::any_header`] — is identical; only the intermediate
-    /// allocation is gone (inline storage is reused directly).
-    pub fn intersect_ternary_in_place(&mut self, t: &Ternary) {
-        let old = std::mem::take(&mut self.terms);
-        for u in old.iter() {
-            if let Some(i) = u.intersect(t) {
-                self.insert(i);
-            }
-        }
-    }
-
-    /// In-place [`HeaderSet::intersect`]; same term order as the pure
-    /// variant.
-    pub fn intersect_in_place(&mut self, other: &HeaderSet) {
-        if self.is_termwise_subset_of(other) {
-            return;
-        }
-        let old = std::mem::take(&mut self.terms);
-        for u in old.iter() {
-            for v in &other.terms {
-                if let Some(i) = u.intersect(v) {
-                    self.insert(i);
-                }
-            }
-        }
-    }
-
-    /// In-place [`HeaderSet::subtract_ternary`]; same term order as the
-    /// pure variant.
-    pub fn subtract_ternary_in_place(&mut self, t: &Ternary) {
-        let old = std::mem::take(&mut self.terms);
-        for u in old.iter() {
-            if !u.overlaps(t) {
-                self.insert(*u);
-                continue;
-            }
-            if u.is_subset_of(t) {
-                continue;
-            }
-            for piece in t.complement() {
-                if let Some(i) = u.intersect(&piece) {
-                    self.insert(i);
-                }
-            }
-        }
-    }
-
-    /// In-place [`HeaderSet::apply_set_field`]; same term order as the
-    /// pure variant.
+    /// The image of each term is itself a ternary, so the result is exact.
+    /// An all-wildcard set field leaves the set as it is.
     pub fn apply_set_field_in_place(&mut self, set_field: &Ternary) {
         if set_field.is_wildcard() {
             return;
         }
-        let old = std::mem::take(&mut self.terms);
+        let old = std::mem::replace(&mut self.terms, TermVec::new());
         for u in old.iter() {
             self.insert(u.apply_set_field(set_field));
         }
@@ -355,6 +284,23 @@ impl HeaderSet {
     /// Any concrete header from the set, or `None` if empty.
     pub fn any_header(&self) -> Option<Header> {
         self.terms.as_slice().first().map(|t| t.min_header())
+    }
+
+    /// A header of the set that no `taken` header equals, else any header
+    /// of the set; `None` only for the empty set. This is the probe-header
+    /// uniqueness rule (§VI): the first term with a free header answers,
+    /// found by the witness solver over the taken headers inside that
+    /// term, in the order given. The solver drops the taken headers
+    /// outside the term anyway, so filtering them first changes no answer.
+    pub fn unique_header(&self, taken: &[Header]) -> Option<Header> {
+        self.terms
+            .iter()
+            .find_map(|t| {
+                WitnessQuery::new(*t)
+                    .avoid_headers(taken.iter().copied().filter(|h| t.matches(*h)))
+                    .solve()
+            })
+            .or_else(|| self.any_header())
     }
 
     /// Samples a header approximately uniformly: picks a term weighted by
@@ -513,8 +459,8 @@ mod tests {
         // Section V-B: 00101xxx ∩ 0010xxxx ∩ 00100xxx = ∅
         let a = HeaderSet::from(t("00101xxx"));
         let out = a
-            .intersect_ternary(&t("0010xxxx"))
-            .intersect_ternary(&t("00100xxx"));
+            .intersect(&HeaderSet::from(t("0010xxxx")))
+            .intersect(&HeaderSet::from(t("00100xxx")));
         assert!(out.is_empty());
     }
 
@@ -567,7 +513,8 @@ mod tests {
     fn apply_set_field_on_set() {
         let a = HeaderSet::from_union([t("000xxx"), t("111xxx")]);
         let s = t("01xxxx");
-        let out = a.apply_set_field(&s);
+        let mut out = a.clone();
+        out.apply_set_field_in_place(&s);
         // Both terms map into 01?xxx patterns.
         assert!(out.contains_ternary(&t("010xxx")));
         assert!(out.contains_ternary(&t("011xxx")));
@@ -618,45 +565,8 @@ mod tests {
         // Forward image of the preimage sits inside `out`; and every h
         // whose image is in `out` is in the preimage.
         for h in Ternary::wildcard(6).enumerate() {
-            let image = Header::new((h.bits() & !s_field.care_mask()) | s_field.value_bits(), 6);
+            let image = h.apply_set_field(&s_field);
             assert_eq!(pre.contains(h), out.contains(image), "at {h}");
-        }
-    }
-
-    #[test]
-    fn in_place_ops_match_pure_variants_exactly() {
-        // Bit-identity matters: term *order* decides `any_header`, so the
-        // in-place variants must reproduce the pure results field for
-        // field, not just as equal sets.
-        let bases = [
-            HeaderSet::from_union([t("0xx1xx"), t("x10xxx"), t("11xxx0")]),
-            HeaderSet::from(t("001xxx")),
-            HeaderSet::empty(6),
-        ];
-        let args = [t("0101xx"), t("xx0x1x"), t("xxxxxx"), t("010101")];
-        for base in &bases {
-            for a in &args {
-                let pure = base.intersect_ternary(a);
-                let mut inplace = base.clone();
-                inplace.intersect_ternary_in_place(a);
-                assert_eq!(pure.terms(), inplace.terms());
-
-                let pure = base.subtract_ternary(a);
-                let mut inplace = base.clone();
-                inplace.subtract_ternary_in_place(a);
-                assert_eq!(pure.terms(), inplace.terms());
-
-                let pure = base.apply_set_field(a);
-                let mut inplace = base.clone();
-                inplace.apply_set_field_in_place(a);
-                assert_eq!(pure.terms(), inplace.terms());
-
-                let other = HeaderSet::from_union([*a, t("1x1x1x")]);
-                let pure = base.intersect(&other);
-                let mut inplace = base.clone();
-                inplace.intersect_in_place(&other);
-                assert_eq!(pure.terms(), inplace.terms());
-            }
         }
     }
 

@@ -56,16 +56,6 @@ impl TermVec {
         }
     }
 
-    #[cfg(test)]
-    pub(crate) fn clear(&mut self) {
-        match self {
-            TermVec::Inline { len, .. } => *len = 0,
-            // Keep the spilled capacity: a cleared heap vector is about
-            // to be refilled by an in-place operation of similar size.
-            TermVec::Heap(v) => v.clear(),
-        }
-    }
-
     pub(crate) fn push(&mut self, t: Ternary) {
         match self {
             TermVec::Inline { len, buf } => {
@@ -105,12 +95,6 @@ impl TermVec {
 
     pub(crate) fn iter(&self) -> std::slice::Iter<'_, Ternary> {
         self.as_slice().iter()
-    }
-}
-
-impl Default for TermVec {
-    fn default() -> Self {
-        TermVec::new()
     }
 }
 
@@ -179,19 +163,6 @@ mod tests {
             reference.retain(|u| u.value_bits() % 2 == 0);
             assert_eq!(tv.as_slice(), reference.as_slice(), "count {count}");
         }
-    }
-
-    #[test]
-    fn clear_resets_without_unspilling_capacity() {
-        let mut v = TermVec::new();
-        for i in 0..5 {
-            v.push(Ternary::prefix(i, 3, 8));
-        }
-        v.clear();
-        assert!(v.is_empty());
-        assert!(matches!(v, TermVec::Heap(_)));
-        v.push(t("00000xxx"));
-        assert_eq!(v.len(), 1);
     }
 
     #[test]

@@ -48,32 +48,18 @@ fn oracle_preimage(a: &HeaderSet, s: &Ternary) -> HeaderSet {
 
 /// Every fast-pathed operation equals its oracle, terms for terms.
 fn assert_matches_oracles(a: &HeaderSet, b: &HeaderSet, s: &Ternary) {
-    let expect = oracle_intersect(a, b);
     assert_eq!(
         a.intersect(b).terms(),
-        expect.terms(),
+        oracle_intersect(a, b).terms(),
         "intersect {a} ∩ {b}"
     );
-    let mut in_place = a.clone();
-    in_place.intersect_in_place(b);
-    assert_eq!(
-        in_place.terms(),
-        expect.terms(),
-        "intersect_in_place {a} ∩ {b}"
-    );
 
-    let expect = oracle_apply(a, s);
+    let mut image = a.clone();
+    image.apply_set_field_in_place(s);
     assert_eq!(
-        a.apply_set_field(s).terms(),
-        expect.terms(),
+        image.terms(),
+        oracle_apply(a, s).terms(),
         "apply {a} by {s}"
-    );
-    let mut in_place = a.clone();
-    in_place.apply_set_field_in_place(s);
-    assert_eq!(
-        in_place.terms(),
-        expect.terms(),
-        "apply_in_place {a} by {s}"
     );
 
     let expect = oracle_preimage(a, s);

@@ -175,7 +175,8 @@ impl RuleGraph {
                         .get(&entry_id)
                         .cloned()
                         .expect("effective_inputs covers every forwarding entry");
-                    let output = input.apply_set_field(&entry.set_field());
+                    let mut output = input.clone();
+                    output.apply_set_field_in_place(&entry.set_field());
                     let id = VertexId(vertices.len());
                     vertices.push(Some(RuleVertex {
                         entry: entry_id,
@@ -184,7 +185,6 @@ impl RuleGraph {
                         match_field: entry.match_field(),
                         set_field: entry.set_field(),
                         next_switch: net.topology().peer_of(switch, port),
-                        out_port: port,
                         priority: entry.priority(),
                         input,
                         output,
@@ -898,7 +898,7 @@ pub(crate) fn resolve_input(ft: &FlowTable, entry_id: EntryId, entry: &FlowEntry
         return HeaderSet::empty(entry.match_field().len());
     }
     for q in &overlapping {
-        input.subtract_ternary_in_place(q);
+        input = input.subtract_ternary(q);
         if input.is_empty() {
             break;
         }

@@ -136,7 +136,6 @@ impl RuleGraph {
                 match_field: new.match_field(),
                 set_field: new.set_field(),
                 next_switch: net.topology().peer_of(loc.switch, port),
-                out_port: port,
                 priority: new.priority(),
                 input: sdnprobe_headerspace::HeaderSet::empty(self.header_len),
                 output: sdnprobe_headerspace::HeaderSet::empty(self.header_len),
@@ -208,7 +207,8 @@ impl RuleGraph {
                 .get(&vert.entry)
                 .cloned()
                 .unwrap_or_else(|| sdnprobe_headerspace::HeaderSet::empty(vert.match_field.len()));
-            vert.output = input.apply_set_field(&vert.set_field);
+            vert.output = input.clone();
+            vert.output.apply_set_field_in_place(&vert.set_field);
             vert.input = input;
             affected.push(v);
         }

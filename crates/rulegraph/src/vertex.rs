@@ -4,7 +4,7 @@ use std::fmt;
 
 use sdnprobe_dataplane::{EntryId, TableId};
 use sdnprobe_headerspace::{HeaderSet, Ternary};
-use sdnprobe_topology::{PortId, SwitchId};
+use sdnprobe_topology::SwitchId;
 
 /// Identifier of a vertex within a [`crate::RuleGraph`] (dense index;
 /// stable across incremental updates — removed vertices leave tombstones).
@@ -45,8 +45,6 @@ pub struct RuleVertex {
     /// The output port (`r.port`); `None` when the port leads out of the
     /// network (host-facing egress).
     pub next_switch: Option<SwitchId>,
-    /// Raw output port number.
-    pub out_port: PortId,
     /// Priority (`r.p`).
     pub priority: u16,
     /// Resolved input header space (`r.in`).
@@ -82,7 +80,6 @@ mod tests {
             match_field: "00xx".parse().unwrap(),
             set_field: Ternary::wildcard(4),
             next_switch: None,
-            out_port: PortId(0),
             priority: 0,
             input: HeaderSet::empty(4),
             output: HeaderSet::empty(4),

@@ -137,6 +137,7 @@ pub fn synthesize_pipelines(topology: &Topology, spec: &PipelineSpec) -> Pipelin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdnprobe_headerspace::HeaderSet;
     use sdnprobe_rulegraph::RuleGraph;
     use sdnprobe_topology::generate::rocketfuel_like;
 
@@ -170,7 +171,7 @@ mod tests {
                 if vert.switch == acl_switch {
                     assert!(
                         vert.input
-                            .intersect_ternary(&acl_entry.match_field())
+                            .intersect(&HeaderSet::from(acl_entry.match_field()))
                             .is_empty(),
                         "ACL leak at {v}"
                     );

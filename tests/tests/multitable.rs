@@ -5,7 +5,7 @@
 
 use sdnprobe::{accuracy, generate, SdnProbe};
 use sdnprobe_dataplane::{Action, EntryId, FaultKind, FaultSpec, FlowEntry, Network, TableId};
-use sdnprobe_headerspace::{Header, Ternary};
+use sdnprobe_headerspace::{Header, HeaderSet, Ternary};
 use sdnprobe_rulegraph::{RuleGraph, RuleGraphError};
 use sdnprobe_topology::{PortId, SwitchId, Topology};
 
@@ -72,7 +72,9 @@ fn effective_inputs_exclude_acl_dropped_space() {
         assert!(!vert.is_shadowed());
         // The ACL region never reaches routing.
         assert!(
-            vert.input.intersect_ternary(&t("11xxxxxx")).is_empty(),
+            vert.input
+                .intersect(&HeaderSet::from(t("11xxxxxx")))
+                .is_empty(),
             "ACL space leaked into {v}"
         );
     }
