@@ -1,6 +1,6 @@
 //! Figure 9(a): false positive rate for detecting basic failures
 //! (misdirection, drop, modification) vs the fraction of faulty
-//! switches; 10 runs per data point.
+//! switches; 10 runs per data point by default (`--runs`).
 //!
 //! Paper result: SDNProbe and Randomized SDNProbe have FPR = 0 (exact
 //! localization); ATPG blames benign switches at intersections of failed
@@ -44,7 +44,7 @@ fn main() {
     let runs: usize = arg("runs").unwrap_or(10);
     let rates = [0.05, 0.10, 0.20, 0.30, 0.50];
     let mut table = ResultTable::new(
-        "Figure 9(a): FPR for basic failures (10-run averages); FNR in parentheses",
+        format!("Figure 9(a): FPR for basic failures ({runs}-run averages); FNR in parentheses"),
         &["faulty-rate", "sdnprobe", "randomized", "atpg", "per-rule"],
     );
     let mut max_fnr = 0.0f64;

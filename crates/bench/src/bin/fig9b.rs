@@ -1,5 +1,6 @@
 //! Figure 9(b): false negative rate under colluding path-detour
-//! attacks, vs the number of colluding pairs; 10 runs per point.
+//! attacks, vs the number of colluding pairs; 10 runs per point by
+//! default (`--runs`).
 //!
 //! Paper result: Randomized SDNProbe reaches FNR = 0 (the probability
 //! that the colluders share every randomized tested path decays
@@ -44,7 +45,7 @@ fn main() {
     let rounds: usize = arg("rounds").unwrap_or(30);
     let pair_counts = [1usize, 2, 4, 6, 8];
     let mut table = ResultTable::new(
-        "Figure 9(b): FNR under colluding detours (10-run averages)",
+        format!("Figure 9(b): FNR under colluding detours ({runs}-run averages)"),
         &["pairs", "sdnprobe", "randomized", "atpg", "per-rule"],
     );
     let mut rand_fnr_total = 0.0;

@@ -139,6 +139,15 @@ impl FlowTable {
             .collect()
     }
 
+    /// Calls `f` with the id of every entry whose match field intersects
+    /// `pattern`, in no particular order.
+    pub fn for_each_overlap(&self, pattern: &Ternary, mut f: impl FnMut(EntryId)) {
+        self.trie
+            .for_each_overlap(pattern.care_mask(), pattern.value_bits(), 0, |id, _| {
+                f(EntryId(id))
+            });
+    }
+
     /// The highest-priority entry matching `header`, if any; ties break
     /// toward the lowest id.
     ///
@@ -338,6 +347,53 @@ mod tests {
             small.insert(EntryId(i as u64), entry(m, prio, 0));
         }
         assert_shadowing_matches_linear(&small);
+    }
+
+    /// The trie overlap query against a linear filter over the entries,
+    /// for every 3-bit pattern.
+    fn assert_for_each_overlap_linear(tab: &FlowTable) {
+        for pattern in ["0", "1", "x"]
+            .into_iter()
+            .flat_map(|a| ["0", "1", "x"].map(move |b| format!("{a}{b}")))
+            .flat_map(|ab| ["0", "1", "x"].map(move |c| format!("{ab}{c}xxxxx")))
+        {
+            let q = t(&pattern);
+            let mut got = Vec::new();
+            tab.for_each_overlap(&q, |id| got.push(id));
+            got.sort_unstable();
+            let mut expect: Vec<EntryId> = tab
+                .iter()
+                .filter(|(_, e)| e.match_field().overlaps(&q))
+                .map(|(id, _)| id)
+                .collect();
+            expect.sort_unstable();
+            assert_eq!(got, expect, "pattern {pattern}");
+        }
+    }
+
+    #[test]
+    fn for_each_overlap_equals_a_linear_filter() {
+        let mut tab = FlowTable::new();
+        for (i, m, prio) in [
+            (3u64, "0xxxxxxx", 2u16),
+            (1, "01xxxxxx", 2),
+            (4, "0x1xxxxx", 2),
+            (0, "011xxxxx", 7),
+            (2, "xxxxxxx1", 4),
+            (5, "10xxxxx0", 1),
+            (6, "xxxxxxxx", 0),
+        ] {
+            tab.insert(EntryId(i), entry(m, prio, i as u32));
+        }
+        assert_for_each_overlap_linear(&tab);
+        // Priority plays no part: a raised or removed entry is found
+        // exactly when its match field overlaps.
+        tab.replace(EntryId(4), entry("0x1xxxxx", 9, 4));
+        tab.remove(EntryId(6));
+        assert_for_each_overlap_linear(&tab);
+        let mut none = Vec::new();
+        FlowTable::new().for_each_overlap(&t("xxxxxxxx"), |id| none.push(id));
+        assert!(none.is_empty());
     }
 
     #[test]

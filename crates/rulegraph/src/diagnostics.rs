@@ -148,10 +148,10 @@ impl RuleGraph {
             let Some(target) = vert.next_switch else {
                 continue;
             };
-            if vert.output.is_empty() {
+            if vert.output().is_empty() {
                 continue;
             }
-            let mut swallowed = vert.output.clone();
+            let mut swallowed = vert.output().clone();
             for v in self.vertex_ids() {
                 if self.vertex(v).switch == target {
                     swallowed = swallowed.subtract_ternary(&self.vertex(v).match_field);

@@ -222,7 +222,7 @@ impl RuleGraph {
     /// stored copy exactly. Borrows the head's output for as long as no
     /// step changes it.
     fn chain_along(&self, real: &[u32]) -> Cow<'_, HeaderSet> {
-        let mut set = Cow::Borrowed(&self.vertex(VertexId(real[0] as usize)).output);
+        let mut set = Cow::Borrowed(self.vertex(VertexId(real[0] as usize)).output());
         for &v in &real[1..] {
             if let Cow::Owned(next) = self.chain_borrowed(&set, VertexId(v as usize)) {
                 set = Cow::Owned(next);
@@ -308,7 +308,7 @@ impl RuleGraph {
         visited.begin(self.vertices.len());
         visited.insert(cover[0].0);
         let mut real = vec![cover[0]];
-        let start = &self.vertex(cover[0]).output;
+        let start = self.vertex(cover[0]).output();
         let mut trace = PrefixTrace::new(cover.len());
         let found = self.expand_rec(cover, 1, start, &mut real, &mut visited, Some(&mut trace));
         cache.visited = visited;

@@ -15,7 +15,7 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
-use sdnprobe_classifier::TernaryTrie;
+use sdnprobe_classifier::IdHashBuilder;
 use sdnprobe_dataplane::{Action, EntryId, FlowEntry, FlowTable, Network, TableId};
 use sdnprobe_headerspace::HeaderSet;
 use sdnprobe_topology::SwitchId;
@@ -72,8 +72,12 @@ pub struct LegalPathStats {
 #[derive(Debug)]
 pub struct RuleGraph {
     pub(crate) header_len: u32,
+    /// Vertex arena; a fresh build sizes it to the forwarding entries
+    /// exactly. Removed vertices leave `None`.
     pub(crate) vertices: Vec<Option<RuleVertex>>,
-    pub(crate) by_entry: HashMap<EntryId, VertexId>,
+    /// The vertex of each live forwarding entry. Edge candidates come
+    /// from the flow tables as entry ids and are mapped through it.
+    pub(crate) by_entry: HashMap<EntryId, VertexId, IdHashBuilder>,
     /// Alive vertices per (switch, table), for edge rebuilding.
     pub(crate) by_location: HashMap<(SwitchId, TableId), Vec<VertexId>>,
     /// Alive vertices whose output port leads *to* a switch (the
@@ -81,11 +85,6 @@ pub struct RuleGraph {
     /// switch starts at one of them, so an incremental update re-runs
     /// their out-edge queries instead of scanning the whole graph.
     pub(crate) by_next_switch: HashMap<SwitchId, Vec<VertexId>>,
-    /// Per-switch trie over vertex match fields. A vertex's resolved
-    /// input space is always a subset of its match field, so
-    /// `overlaps(pattern)` yields a superset of the vertices whose
-    /// input intersects `pattern` — the out-edge candidate set.
-    pub(crate) in_tries: HashMap<SwitchId, TernaryTrie>,
     /// Step-1 out-edges.
     pub(crate) step1: Vec<Vec<VertexId>>,
     /// Step-1 in-edges (for incremental updates).
@@ -120,7 +119,6 @@ impl Clone for RuleGraph {
             by_entry: self.by_entry.clone(),
             by_location: self.by_location.clone(),
             by_next_switch: self.by_next_switch.clone(),
-            in_tries: self.in_tries.clone(),
             step1: self.step1.clone(),
             step1_rev: self.step1_rev.clone(),
             closure: self.closure.clone(),
@@ -143,7 +141,7 @@ impl RuleGraph {
     /// forwarding entries at all.
     pub fn from_network(net: &Network) -> Result<Self, RuleGraphError> {
         let mut graph = Self::vertices_only(net)?;
-        graph.rebuild_all_edges();
+        graph.rebuild_all_edges(net);
         let order = graph.check_acyclic()?;
         graph.rebuild_closure(order.into_iter().rev());
         Ok(graph)
@@ -157,38 +155,40 @@ impl RuleGraph {
     /// intersected with its table-local resolved match (see
     /// [`effective_inputs`]).
     pub(crate) fn vertices_only(net: &Network) -> Result<Self, RuleGraphError> {
-        let mut vertices: Vec<Option<RuleVertex>> = Vec::new();
-        let mut by_entry = HashMap::new();
+        let tables_of = |switch| {
+            let tables = net.table_count(switch).expect("switch exists");
+            (0..tables)
+                .map(TableId)
+                .map(move |table| (table, net.flow_table(switch, table).expect("table exists")))
+        };
+        let forwarding = net
+            .topology()
+            .switches()
+            .flat_map(tables_of)
+            .flat_map(|(_, ft)| ft.iter())
+            .filter(|(_, e)| matches!(e.action(), Action::Output(_)))
+            .count();
+        let mut vertices: Vec<Option<RuleVertex>> = Vec::with_capacity(forwarding);
+        let mut by_entry = HashMap::with_capacity_and_hasher(forwarding, IdHashBuilder);
         let mut by_location: HashMap<(SwitchId, TableId), Vec<VertexId>> = HashMap::new();
         let mut header_len = 0u32;
         for switch in net.topology().switches() {
-            let inputs = effective_inputs(net, switch)?;
-            let tables = net.table_count(switch).expect("switch exists");
-            for table in (0..tables).map(TableId) {
-                let ft = net.flow_table(switch, table).expect("table exists");
+            let mut inputs = effective_inputs(net, switch)?;
+            for (table, ft) in tables_of(switch) {
                 for (entry_id, entry) in ft.iter() {
                     let Action::Output(port) = entry.action() else {
                         continue;
                     };
                     header_len = entry.match_field().len();
-                    let input = inputs
-                        .get(&entry_id)
-                        .cloned()
-                        .expect("effective_inputs covers every forwarding entry");
-                    let mut output = input.clone();
-                    output.apply_set_field_in_place(&entry.set_field());
+                    let next_switch = net.topology().peer_of(switch, port);
+                    let mut vertex = RuleVertex::new(entry_id, entry, switch, table, next_switch);
+                    vertex.set_input(
+                        inputs
+                            .remove(&entry_id)
+                            .expect("effective_inputs covers every forwarding entry"),
+                    );
                     let id = VertexId(vertices.len());
-                    vertices.push(Some(RuleVertex {
-                        entry: entry_id,
-                        switch,
-                        table,
-                        match_field: entry.match_field(),
-                        set_field: entry.set_field(),
-                        next_switch: net.topology().peer_of(switch, port),
-                        priority: entry.priority(),
-                        input,
-                        output,
-                    }));
+                    vertices.push(Some(vertex));
                     by_entry.insert(entry_id, id);
                     by_location.entry((switch, table)).or_default().push(id);
                 }
@@ -204,7 +204,6 @@ impl RuleGraph {
             by_entry,
             by_location,
             by_next_switch: HashMap::new(),
-            in_tries: HashMap::new(),
             step1: vec![Vec::new(); n],
             step1_rev: vec![Vec::new(); n],
             closure: vec![Vec::new(); n],
@@ -218,38 +217,17 @@ impl RuleGraph {
         Ok(graph)
     }
 
-    /// Registers a live vertex in the classifier index (`in_tries`) and
-    /// in `by_next_switch`. The trie key is the vertex's immutable match
-    /// field, so the index stays valid when resolved input/output spaces
-    /// are recomputed.
+    /// Registers a live vertex in `by_next_switch`.
     pub(crate) fn index_vertex(&mut self, id: VertexId) {
-        let Some(vert) = self.vertices[id.0].as_ref() else {
+        let Some(peer) = self.vertices[id.0].as_ref().and_then(|v| v.next_switch) else {
             return;
         };
-        let m = vert.match_field;
-        self.in_tries.entry(vert.switch).or_default().insert(
-            id.0 as u64,
-            m.care_mask(),
-            m.value_bits(),
-            0,
-            m.len(),
-        );
-        if let Some(peer) = vert.next_switch {
-            self.by_next_switch.entry(peer).or_default().push(id);
-        }
+        self.by_next_switch.entry(peer).or_default().push(id);
     }
 
-    /// Removes a vertex from the classifier indexes; `switch` and
-    /// `next_switch` describe where it was registered.
-    pub(crate) fn unindex_vertex(
-        &mut self,
-        id: VertexId,
-        switch: SwitchId,
-        next_switch: Option<SwitchId>,
-    ) {
-        if let Some(trie) = self.in_tries.get_mut(&switch) {
-            trie.remove(id.0 as u64);
-        }
+    /// Removes a vertex from `by_next_switch`; `next_switch` is where it
+    /// was registered.
+    pub(crate) fn unindex_vertex(&mut self, id: VertexId, next_switch: Option<SwitchId>) {
         if let Some(list) = next_switch.and_then(|peer| self.by_next_switch.get_mut(&peer)) {
             list.retain(|&x| x != id);
         }
@@ -366,7 +344,7 @@ impl RuleGraph {
             "path must follow step-1 edges"
         );
         // Forward pass to confirm legality cheaply.
-        let mut forward = self.vertex(path[0]).output.clone();
+        let mut forward = self.vertex(path[0]).output().clone();
         for &v in &path[1..] {
             forward = self.chain(&forward, v);
             if forward.is_empty() {
@@ -414,7 +392,7 @@ impl RuleGraph {
         visited.begin(self.vertices.len());
         visited.insert(cover[0].0);
         let mut real = vec![cover[0]];
-        let start = &self.vertex(cover[0]).output;
+        let start = self.vertex(cover[0]).output();
         if !self.expand_rec(cover, 1, start, &mut real, &mut visited, None) {
             return None;
         }
@@ -509,12 +487,12 @@ impl RuleGraph {
     }
 
     /// Builds every step-1 edge of a graph that has none yet,
-    /// collecting candidate pairs from the per-switch classifier tries.
-    fn rebuild_all_edges(&mut self) {
+    /// collecting candidates from the network's flow tables.
+    fn rebuild_all_edges(&mut self, net: &Network) {
         self.generation += 1;
         let ids: Vec<VertexId> = self.vertex_ids().collect();
         for u in ids {
-            self.rebuild_out_edges(u);
+            self.rebuild_out_edges(net, u);
         }
     }
 
@@ -527,7 +505,7 @@ impl RuleGraph {
         }
         let vert = self.vertices[u.0].as_ref()?;
         let peer = vert.next_switch?; // host-facing egress: no successors
-        if vert.output.is_empty() {
+        if vert.output().is_empty() {
             return None; // shadowed rule can never emit a packet
         }
         Some((vert, peer))
@@ -539,28 +517,35 @@ impl RuleGraph {
     /// can carry it to forwarding entries in any table; effective
     /// inputs already encode that reachability, so every vertex on the
     /// peer whose match field intersects `T(u.match, u.set)` is a
-    /// candidate — collected from the peer's match-field trie instead
-    /// of scanning every co-located vertex. `T(u.match, u.set)` is a
-    /// sound query: every term of `u.out = T(u.in, u.set)` lies inside
-    /// it, since `u.in ⊆ u.match` and `T` preserves subsets. Candidates
-    /// come back in ascending id order, and so does the edge list.
-    pub(crate) fn rebuild_out_edges(&mut self, u: VertexId) {
+    /// candidate. The peer's own flow tables index those match fields:
+    /// every table is queried, and each overlapping entry that has a
+    /// vertex is a candidate. `T(u.match, u.set)` is a sound query:
+    /// every term of `u.out = T(u.in, u.set)` lies inside it, since
+    /// `u.in ⊆ u.match` and `T` preserves subsets. Candidates are
+    /// sorted ascending, and so is the edge list.
+    pub(crate) fn rebuild_out_edges(&mut self, net: &Network, u: VertexId) {
         let Some((vert, peer)) = self.clear_out_edges(u) else {
             return;
         };
         let query = vert.match_field.apply_set_field(&vert.set_field);
-        let candidates = match self.in_tries.get(&peer) {
-            Some(trie) => trie.overlaps(query.care_mask(), query.value_bits()),
-            None => return,
-        };
-        for cand_id in candidates {
-            let v = VertexId(cand_id as usize);
+        let tables = net.table_count(peer).expect("peer switch exists");
+        let mut candidates = Vec::new();
+        for table in (0..tables).map(TableId) {
+            let ft = net.flow_table(peer, table).expect("table exists");
+            ft.for_each_overlap(&query, |entry| {
+                if let Some(&v) = self.by_entry.get(&entry) {
+                    candidates.push(v);
+                }
+            });
+        }
+        candidates.sort_unstable();
+        for v in candidates {
             if v == u {
                 continue;
             }
             let vert = self.vertices[u.0].as_ref().expect("u is live");
-            let cand = self.vertices[v.0].as_ref().expect("indexed vertex is live");
-            if vert.output.intersects(&cand.input) {
+            let cand = self.vertices[v.0].as_ref().expect("mapped vertex is live");
+            if vert.output().intersects(&cand.input) {
                 self.step1[u.0].push(v);
                 self.step1_rev[v.0].push(u);
             }
@@ -694,7 +679,7 @@ impl RuleGraph {
         let Some(vert) = self.vertices[u.0].as_ref() else {
             return Vec::new();
         };
-        if vert.output.is_empty() {
+        if vert.output().is_empty() {
             return Vec::new();
         }
         let RowBuffers {
@@ -716,7 +701,7 @@ impl RuleGraph {
             }
         };
         for &w in &self.step1[u.0] {
-            let s = self.chain(&vert.output, w);
+            let s = self.chain(vert.output(), w);
             if !s.is_empty() {
                 queue.push_back((w, s));
             }
@@ -725,8 +710,7 @@ impl RuleGraph {
             if reused.contains(v.0) {
                 continue;
             }
-            let out = &self.vertex(v).output;
-            if set == *out {
+            if set == *self.vertex(v).output() {
                 reused.insert(v.0);
                 take(v);
                 for &x in &self.closure[v.0] {
@@ -1060,11 +1044,28 @@ mod tests {
         // d1's input/output are the paper's worked values.
         let d1 = g.vertex(vertex_of(&g, &ids, "d1"));
         assert!(d1.input.contains_ternary(&t("000xxxxx")));
-        assert!(d1.output.contains_ternary(&t("0111xxxx")));
+        assert!(d1.output().contains_ternary(&t("0111xxxx")));
         // c2's input excludes c1's match.
         let c2 = g.vertex(vertex_of(&g, &ids, "c2"));
         assert!(!c2.input.contains_ternary(&t("00100xxx")));
         assert!(c2.input.contains_ternary(&t("0011xxxx")));
+    }
+
+    #[test]
+    fn figure3_arena_is_exact_and_stores_only_rewritten_outputs() {
+        let (net, ids) = figure3();
+        let g = RuleGraph::from_network(&net).unwrap();
+        assert_eq!(g.vertices.capacity(), g.vertices.len());
+        assert_eq!(g.by_entry.len(), g.vertices.len());
+        let d1 = vertex_of(&g, &ids, "d1");
+        for v in g.vertex_ids() {
+            let vert = g.vertex(v);
+            let mut expect = vert.input.clone();
+            expect.apply_set_field_in_place(&vert.set_field);
+            assert_eq!(vert.output(), &expect, "{v}");
+            // Only d1 rewrites; every other output is the input itself.
+            assert_eq!(!std::ptr::eq(vert.output(), &vert.input), v == d1, "{v}");
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!    (their `r.in` shrinks or grows),
 //! 2. step-1 edges incident to those vertices: the out-edges of every
 //!    vertex on the changed switch and of every vertex forwarding into
-//!    it, re-queried through the same classifier index the build uses,
-//!    and
+//!    it, re-queried against the network's flow tables as the build
+//!    does, and
 //! 3. legal-closure rows of every vertex whose reachable region touches
 //!    the change: the affected vertices, their step-1 ancestors, and
 //!    every vertex whose old row holds an affected vertex.
@@ -19,6 +19,7 @@
 //! Equivalence with from-scratch construction is enforced by tests.
 
 use sdnprobe_dataplane::{Action, EntryId, EntryLocation, FlowEntry, Network};
+use sdnprobe_headerspace::HeaderSet;
 use sdnprobe_topology::SwitchId;
 
 use crate::error::RuleGraphError;
@@ -84,7 +85,7 @@ impl RuleGraph {
         requery.sort_unstable();
         requery.dedup();
         for v in requery {
-            self.rebuild_out_edges(v);
+            self.rebuild_out_edges(net, v);
         }
         let order = self.check_acyclic()?;
         // Closure: recompute every source whose reachable region touches
@@ -120,26 +121,20 @@ impl RuleGraph {
     /// Registers a newly installed entry; returns its switch.
     fn apply_added(&mut self, net: &Network, entry: EntryId) -> SwitchId {
         let loc = net.location(entry).expect("entry was just installed");
-        let new = net
-            .entry(entry)
-            .expect("entry was just installed")
-            .to_owned();
+        let new = net.entry(entry).expect("entry was just installed");
         // Forwarding entries get a vertex of their own (spaces are
         // filled in by the switch-wide recompute below).
         if let Action::Output(port) = new.action() {
             self.header_len = new.match_field().len();
             let id = VertexId(self.vertices.len());
-            self.vertices.push(Some(RuleVertex {
+            let next_switch = net.topology().peer_of(loc.switch, port);
+            self.vertices.push(Some(RuleVertex::new(
                 entry,
-                switch: loc.switch,
-                table: loc.table,
-                match_field: new.match_field(),
-                set_field: new.set_field(),
-                next_switch: net.topology().peer_of(loc.switch, port),
-                priority: new.priority(),
-                input: sdnprobe_headerspace::HeaderSet::empty(self.header_len),
-                output: sdnprobe_headerspace::HeaderSet::empty(self.header_len),
-            }));
+                new,
+                loc.switch,
+                loc.table,
+                next_switch,
+            )));
             self.by_entry.insert(entry, id);
             self.by_location
                 .entry((loc.switch, loc.table))
@@ -176,7 +171,7 @@ impl RuleGraph {
                 list.retain(|&x| x != dead);
             }
             let next_switch = self.vertices[dead.0].as_ref().and_then(|v| v.next_switch);
-            self.unindex_vertex(dead, location.switch, next_switch);
+            self.unindex_vertex(dead, next_switch);
             self.vertices[dead.0] = None;
         } else if matches!(old.action(), Action::Output(_)) {
             return Err(RuleGraphError::UnknownEntry(entry));
@@ -191,7 +186,7 @@ impl RuleGraph {
         net: &Network,
         switch: SwitchId,
     ) -> Result<Vec<VertexId>, RuleGraphError> {
-        let inputs = effective_inputs(net, switch)?;
+        let mut inputs = effective_inputs(net, switch)?;
         let ids: Vec<VertexId> = self
             .by_location
             .iter()
@@ -204,12 +199,9 @@ impl RuleGraph {
                 continue;
             };
             let input = inputs
-                .get(&vert.entry)
-                .cloned()
-                .unwrap_or_else(|| sdnprobe_headerspace::HeaderSet::empty(vert.match_field.len()));
-            vert.output = input.clone();
-            vert.output.apply_set_field_in_place(&vert.set_field);
-            vert.input = input;
+                .remove(&vert.entry)
+                .unwrap_or_else(|| HeaderSet::empty(vert.match_field.len()));
+            vert.set_input(input);
             affected.push(v);
         }
         Ok(affected)
@@ -243,7 +235,7 @@ mod tests {
                 (
                     vert.entry.0,
                     format!("{}", vert.input),
-                    format!("{}", vert.output),
+                    format!("{}", vert.output()),
                 )
             })
             .collect();

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use sdnprobe_dataplane::{EntryId, TableId};
+use sdnprobe_dataplane::{EntryId, FlowEntry, TableId};
 use sdnprobe_headerspace::{HeaderSet, Ternary};
 use sdnprobe_topology::SwitchId;
 
@@ -29,7 +29,9 @@ impl fmt::Debug for VertexId {
 /// `input` is the match field minus every higher-priority overlapping
 /// match in the same table (`r.in = r.m − ⋃_{q >o r} q.m`), resolved *at
 /// construction* — the difference from NetPlumber's plumbing graph the
-/// paper calls out. `output = T(input, set_field)`.
+/// paper calls out. [`output`](Self::output) is `T(input, set_field)`;
+/// it is stored only when the set field rewrites a bit, and is `input`
+/// itself otherwise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleVertex {
     /// The underlying installed entry.
@@ -49,11 +51,55 @@ pub struct RuleVertex {
     pub priority: u16,
     /// Resolved input header space (`r.in`).
     pub input: HeaderSet,
-    /// Resolved output header space (`r.out`).
-    pub output: HeaderSet,
+    /// `T(input, set_field)` for a rule that rewrites; `None` when the
+    /// set field is all-wildcard and the output is `input` itself.
+    rewritten: Option<Box<HeaderSet>>,
 }
 
+// The graph holds one vertex per forwarding rule, so a vertex must not
+// grow back to carrying a second header set inline (it was 400 bytes
+// then). The `u128` masks in `Ternary` align the struct to 16 bytes, so
+// its 274 bytes of fields round up to 288.
+const _: () = assert!(std::mem::size_of::<RuleVertex>() <= 288);
+
 impl RuleVertex {
+    /// A vertex for a forwarding entry, with an empty input until
+    /// [`set_input`](Self::set_input) resolves it.
+    pub(crate) fn new(
+        entry_id: EntryId,
+        entry: &FlowEntry,
+        switch: SwitchId,
+        table: TableId,
+        next_switch: Option<SwitchId>,
+    ) -> Self {
+        Self {
+            entry: entry_id,
+            switch,
+            table,
+            match_field: entry.match_field(),
+            set_field: entry.set_field(),
+            next_switch,
+            priority: entry.priority(),
+            input: HeaderSet::empty(entry.match_field().len()),
+            rewritten: None,
+        }
+    }
+
+    /// Resolved output header space (`r.out = T(r.in, r.s)`).
+    pub fn output(&self) -> &HeaderSet {
+        self.rewritten.as_deref().unwrap_or(&self.input)
+    }
+
+    /// Assigns the resolved input and derives the output from it.
+    pub(crate) fn set_input(&mut self, input: HeaderSet) {
+        self.rewritten = (!self.set_field.is_wildcard()).then(|| {
+            let mut output = input.clone();
+            output.apply_set_field_in_place(&self.set_field);
+            Box::new(output)
+        });
+        self.input = input;
+    }
+
     /// True if no packet can ever trigger this rule (fully shadowed by
     /// higher-priority rules).
     pub fn is_shadowed(&self) -> bool {
@@ -64,6 +110,7 @@ impl RuleVertex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdnprobe_dataplane::Action;
 
     #[test]
     fn vertex_id_display() {
@@ -73,17 +120,8 @@ mod tests {
 
     #[test]
     fn shadowed_detection() {
-        let v = RuleVertex {
-            entry: EntryId(0),
-            switch: SwitchId(0),
-            table: TableId(0),
-            match_field: "00xx".parse().unwrap(),
-            set_field: Ternary::wildcard(4),
-            next_switch: None,
-            priority: 0,
-            input: HeaderSet::empty(4),
-            output: HeaderSet::empty(4),
-        };
+        let entry = FlowEntry::new("00xx".parse().unwrap(), Action::Drop);
+        let v = RuleVertex::new(EntryId(0), &entry, SwitchId(0), TableId(0), None);
         assert!(v.is_shadowed());
     }
 }

@@ -65,7 +65,7 @@ fn brute_force_reachable(graph: &RuleGraph, u: VertexId) -> Vec<VertexId> {
             rec(graph, next, &chained, reached);
         }
     }
-    let start = graph.vertex(u).output.clone();
+    let start = graph.vertex(u).output().clone();
     if !start.is_empty() {
         rec(graph, u, &start, &mut reached);
     }

@@ -78,7 +78,7 @@ fn reference_closure_set(graph: &RuleGraph) -> HashSet<(usize, usize)> {
                 rec(graph, src, next, &chained, edges);
             }
         }
-        let start = graph.vertex(u).output.clone();
+        let start = graph.vertex(u).output().clone();
         if !start.is_empty() {
             rec(graph, u, u, &start, &mut edges);
         }
