@@ -11,6 +11,7 @@
 //! 250 KB/s controller send rate, and each round costs one control-plane
 //! round trip. The virtual clock also drives intermittent faults.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use sdnprobe_dataplane::{EntryId, Network};
@@ -220,27 +221,38 @@ impl FaultLocalizer {
         initial: Vec<ActiveProbe>,
     ) -> Result<DetectionReport, DetectError> {
         let mut report = DetectionReport::default();
-        let full_set = initial.clone();
-        let mut active = initial;
+        // Rounds of the full set send `full` where it lies, so each
+        // probe's memoized route stays warm from one restart to the next;
+        // later rounds send the sliced and kept probes in `active`.
+        let full = initial;
+        let mut active = Vec::new();
+        let mut whole = true;
         while report.rounds < self.config.max_rounds {
-            if active.is_empty() {
-                if self.config.restart_when_idle {
-                    active = full_set.clone();
-                } else {
+            if (if whole { &full } else { &active }).is_empty() {
+                if !self.config.restart_when_idle {
                     break;
                 }
+                whole = true;
             }
+            let round = if whole { &full } else { &active };
             report.rounds += 1;
-            self.config.charge_send(net, &mut report, active.len());
+            self.config.charge_send(net, &mut report, round.len());
 
             // Phase 1 (parallel): send the whole round. Injection only
             // reads the network, so fanning out cannot change outcomes.
-            let passed = harness.send_batch(net, &active, self.config.parallelism);
+            let passed = harness.send_batch(net, round, self.config.parallelism);
             // Phase 2 (sequential, in probe order): suspicion updates,
             // slicing, and flagging mutate shared state and must run in
-            // the same order a single-threaded round would.
+            // the same order a single-threaded round would. One of the
+            // two sources is empty: the full set is borrowed, a sliced
+            // round is consumed.
+            let borrowed = if whole { &full[..] } else { &[] };
+            let sent = borrowed
+                .iter()
+                .map(Cow::Borrowed)
+                .chain(std::mem::take(&mut active).into_iter().map(Cow::Owned));
             let mut next = Vec::new();
-            for (probe, ok) in active.into_iter().zip(passed) {
+            for (probe, ok) in sent.zip(passed) {
                 if ok {
                     continue;
                 }
@@ -285,11 +297,12 @@ impl FaultLocalizer {
                             report.detections.push((entry, report.elapsed_ns));
                         }
                     } else {
-                        next.push(probe); // keep hammering the suspect
+                        next.push(probe.into_owned()); // keep hammering the suspect
                     }
                 }
             }
             active = next;
+            whole = false;
         }
         report.degraded.sort_unstable();
         report.degraded.dedup();
@@ -588,6 +601,105 @@ mod tests {
             }
         }
         assert!(flagged, "suspicion must persist across runs");
+    }
+
+    /// One switch whose one rule sends everything to a host: every plan
+    /// is a single one-rule probe.
+    fn single_rule() -> (Network, RuleGraph, EntryId) {
+        let mut net = Network::new(Topology::new(1));
+        let id = net
+            .install(
+                SwitchId(0),
+                TableId(0),
+                FlowEntry::new(t("xxxxxxxx"), Action::Output(PortId(40))),
+            )
+            .unwrap();
+        let graph = RuleGraph::from_network(&net).unwrap();
+        (net, graph, id)
+    }
+
+    #[test]
+    fn empty_initial_set_without_restart_runs_no_round() {
+        let (mut net, graph) = line5();
+        let mut harness = ProbeHarness::new();
+        let report = FaultLocalizer::new(ProbeConfig::default())
+            .run(&mut net, &graph, &mut harness, Vec::new())
+            .unwrap();
+        assert_eq!(report, DetectionReport::default());
+        assert_eq!(net.now_ns(), 0);
+    }
+
+    #[test]
+    fn empty_initial_set_with_restart_charges_every_round() {
+        let (mut net, graph) = line5();
+        let config = ProbeConfig {
+            restart_when_idle: true,
+            max_rounds: 5,
+            ..ProbeConfig::default()
+        };
+        let mut harness = ProbeHarness::new();
+        let report = FaultLocalizer::new(config)
+            .run(&mut net, &graph, &mut harness, Vec::new())
+            .unwrap();
+        let expect = DetectionReport {
+            rounds: 5,
+            elapsed_ns: 5 * config.round_trip_ns,
+            ..DetectionReport::default()
+        };
+        assert_eq!(report, expect);
+        assert_eq!(net.now_ns(), 250_000_000);
+    }
+
+    #[test]
+    fn kept_single_rule_suspect_is_resent_until_flagged() {
+        // Each round sends one 125-byte probe: 0.5 ms on the wire plus
+        // the 50 ms round trip.
+        let round_ns = 50_500_000;
+        for (restart, rounds) in [(false, 4), (true, 6)] {
+            let (mut net, graph, victim) = single_rule();
+            net.inject_fault(victim, FaultSpec::new(FaultKind::Drop))
+                .unwrap();
+            let config = ProbeConfig {
+                restart_when_idle: restart,
+                max_rounds: 6,
+                ..ProbeConfig::default()
+            };
+            let report = run_detection(&mut net, &graph, config);
+            // Suspicion 1, 2 and 3 keep the suspect; 4 crosses the
+            // threshold and flags it. A restart re-sends the full set,
+            // which fails and raises suspicion once per round.
+            let expect = DetectionReport {
+                faulty_switches: vec![SwitchId(0)],
+                faulty_rules: vec![victim],
+                suspicion: HashMap::from([(victim, rounds as u32)]),
+                rounds,
+                probes_sent: rounds,
+                bytes_sent: rounds * 125,
+                elapsed_ns: rounds as u64 * round_ns,
+                detections: vec![(victim, 4 * round_ns)],
+                ..DetectionReport::default()
+            };
+            assert_eq!(report, expect, "restart_when_idle = {restart}");
+        }
+    }
+
+    #[test]
+    fn idle_restarts_resend_the_full_set() {
+        let (mut net, graph) = line5();
+        let config = ProbeConfig {
+            restart_when_idle: true,
+            max_rounds: 3,
+            ..ProbeConfig::default()
+        };
+        let report = run_detection(&mut net, &graph, config);
+        let expect = DetectionReport {
+            rounds: 3,
+            probes_sent: 3,
+            bytes_sent: 375,
+            elapsed_ns: 3 * 50_500_000,
+            ..DetectionReport::default()
+        };
+        assert_eq!(report, expect);
     }
 
     #[test]

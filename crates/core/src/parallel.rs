@@ -6,10 +6,11 @@
 //! so this module provides exactly one primitive: an order-preserving
 //! [`parallel_map`] built on [`std::thread::scope`] with a work-stealing
 //! chunker (an atomic claim counter; idle workers grab the next
-//! unclaimed block). No unsafe code and no thread pool to manage:
-//! threads live only for the duration of one call, which keeps the
-//! determinism story trivial — output order is always input order,
-//! regardless of the thread count.
+//! unclaimed block). The calling thread is one of the workers, so a
+//! job of `n` workers spawns `n - 1` threads. No unsafe code and no
+//! thread pool to manage: threads live only for the duration of one
+//! call, which keeps the determinism story trivial — output order is
+//! always input order, regardless of the thread count.
 //!
 //! [`Parallelism`] is the knob threaded through configs and CLIs
 //! (`--threads N`): `None` means "all available cores", `Some(1)` means
@@ -72,14 +73,15 @@ fn available_cores() -> usize {
         .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
-/// Items per worker thread. Two scoped spawns cost tens of
+/// Items per worker thread. A scoped spawn and join costs tens of
 /// microseconds while a probe send costs about one, so a job gets a
 /// second worker only once it has this many items per worker; smaller
 /// jobs, such as most rounds of sliced probes, run inline.
 const MIN_ITEMS_PER_THREAD: usize = 64;
 
-/// Applies `f` to every item, fanning out across scoped threads, and
-/// returns the results **in input order**.
+/// Applies `f` to every item, fanning out across scoped threads with the
+/// caller working alongside them, and returns the results **in input
+/// order**.
 ///
 /// Scheduling is a work-stealing chunker: a shared atomic counter hands
 /// out blocks of indices, so a worker that finishes early steals the
@@ -94,8 +96,9 @@ const MIN_ITEMS_PER_THREAD: usize = 64;
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (the first panicking worker's payload is
-/// resumed on the caller).
+/// Propagates a panic from `f`, whether it was raised in the caller's
+/// own share or in a spawned worker's (whose payload is resumed on the
+/// caller).
 pub(crate) fn parallel_map<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -109,25 +112,25 @@ where
     let block = (items.len() / (workers * 8)).max(1);
     let next = AtomicUsize::new(0);
     let gathered: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
+    // Claim blocks until the counter runs off the end; keep (start,
+    // results) pairs for in-order reassembly.
+    let work = || {
+        let mut mine: Vec<(usize, Vec<R>)> = Vec::new();
+        loop {
+            let start = next.fetch_add(block, Ordering::Relaxed);
+            if start >= items.len() {
+                break;
+            }
+            let end = (start + block).min(items.len());
+            mine.push((start, items[start..end].iter().map(&f).collect()));
+        }
+        gathered.lock().expect("no poisoned worker").extend(mine);
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    // Claim blocks until the counter runs off the end;
-                    // keep (start, results) pairs for in-order reassembly.
-                    let mut mine: Vec<(usize, Vec<R>)> = Vec::new();
-                    loop {
-                        let start = next.fetch_add(block, Ordering::Relaxed);
-                        if start >= items.len() {
-                            break;
-                        }
-                        let end = (start + block).min(items.len());
-                        mine.push((start, items[start..end].iter().map(&f).collect()));
-                    }
-                    gathered.lock().expect("no poisoned worker").extend(mine);
-                })
-            })
-            .collect();
+        // The caller is the last worker. A panic in its own share
+        // unwinds out of the scope, which joins the others first.
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        work();
         for h in handles {
             if let Err(payload) = h.join() {
                 std::panic::resume_unwind(payload);
@@ -223,5 +226,33 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_share_reaches_the_caller() {
+        use std::sync::atomic::AtomicBool;
+        let items: Vec<u32> = (0..2 * MIN_ITEMS_PER_THREAD as u32).collect();
+        assert_eq!(
+            Parallelism::with_threads(2).effective_threads(items.len()),
+            2
+        );
+        let caller = std::thread::current().id();
+        let caller_started = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(|| {
+            parallel_map(Parallelism::with_threads(2), &items, |&i| {
+                if std::thread::current().id() == caller {
+                    caller_started.store(true, Ordering::Release);
+                    panic!("caller's share");
+                }
+                // The one spawned worker holds at most one block while it
+                // waits here, so the caller is sure to claim another.
+                while !caller_started.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                i
+            })
+        });
+        let payload = result.expect_err("the caller's panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller's share"));
     }
 }

@@ -29,9 +29,10 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 use sdnprobe_classifier::IdHashBuilder;
-use sdnprobe_dataplane::{Action, EntryId, FlowEntry, Network, NetworkError, TableId};
+use sdnprobe_dataplane::{Action, EntryId, FlowEntry, Network, NetworkError, Route, TableId};
 use sdnprobe_headerspace::Header;
 use sdnprobe_rulegraph::{RuleGraph, VertexId};
 use sdnprobe_topology::SwitchId;
@@ -40,7 +41,10 @@ use crate::parallel::{parallel_map, Parallelism};
 use crate::plan::TestPlan;
 
 /// An installed, sendable probe covering a (sub-)path of rules.
-#[derive(Debug, Clone)]
+///
+/// The probe owns a memo of its last send's lookups ([`Route`]), so a
+/// re-send replays the hops whose tables have not changed since. Only
+/// the thread sending the probe touches the memo; a clone starts empty.
 pub struct ActiveProbe {
     /// Rules exercised, in traversal order.
     pub path: Vec<VertexId>,
@@ -52,6 +56,33 @@ pub struct ActiveProbe {
     pub expected_switch: SwitchId,
     /// Exact header expected in the packet-in.
     pub expected_header: Header,
+    /// Lookups of the last send, replayed by the next.
+    route: Mutex<Route>,
+}
+
+impl Clone for ActiveProbe {
+    fn clone(&self) -> Self {
+        Self {
+            path: self.path.clone(),
+            header: self.header,
+            entry_switch: self.entry_switch,
+            expected_switch: self.expected_switch,
+            expected_header: self.expected_header,
+            route: Mutex::default(),
+        }
+    }
+}
+
+impl std::fmt::Debug for ActiveProbe {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ActiveProbe")
+            .field("path", &self.path)
+            .field("header", &self.header)
+            .field("entry_switch", &self.entry_switch)
+            .field("expected_switch", &self.expected_switch)
+            .field("expected_header", &self.expected_header)
+            .finish()
+    }
 }
 
 /// Bounded retry-with-backoff for transient flow-mod failures
@@ -206,8 +237,7 @@ impl ProbeHarness {
         header: Header,
     ) -> Result<ActiveProbe, NetworkError> {
         assert!(!path.is_empty(), "probe path must not be empty");
-        let headers = header_sequence(graph, path, header);
-        let expected_header = *headers.last().expect("non-empty");
+        let expected_header = header_after(graph, path, header);
         let terminal = *path.last().expect("non-empty");
         let terminal_switch = graph.vertex(terminal).switch;
         self.ensure_return_entry(net, graph, terminal, expected_header)?;
@@ -217,6 +247,7 @@ impl ProbeHarness {
             entry_switch: graph.vertex(path[0]).switch,
             expected_switch: terminal_switch,
             expected_header,
+            route: Mutex::default(),
         })
     }
 
@@ -280,8 +311,14 @@ impl ProbeHarness {
     /// Sends a probe and reports whether the expected packet-in arrived
     /// unmodified. Detection logic must rely only on this boolean (plus
     /// timing), mirroring a real controller.
+    ///
+    /// The send replays the probe's memoized route where its tables are
+    /// unchanged ([`Network::observe_along`]), so the answer is the one a
+    /// fresh [`Network::observe`] gives.
     pub fn send(&self, net: &Network, probe: &ActiveProbe) -> bool {
-        net.observe(probe.entry_switch, probe.header)
+        // A panic mid-walk leaves a shorter but still valid memo.
+        let mut route = probe.route.lock().unwrap_or_else(PoisonError::into_inner);
+        net.observe_along(probe.entry_switch, probe.header, &mut route)
             == Some((probe.expected_switch, probe.expected_header))
     }
 
@@ -289,7 +326,8 @@ impl ProbeHarness {
     /// threads, and reports each probe's pass/fail in input order.
     ///
     /// Injection is read-only on the network (the harness and network
-    /// are only borrowed immutably), so concurrent sends observe exactly
+    /// are only borrowed immutably, and each probe's memo is written only
+    /// by the one thread sending it), so concurrent sends observe exactly
     /// the state a sequential loop would: `send_batch` returns the same
     /// booleans as mapping [`ProbeHarness::send`] over `probes`, at any
     /// thread count.
@@ -318,12 +356,11 @@ impl ProbeHarness {
         if probe.path.len() <= 1 {
             return Ok(None);
         }
-        let mid = probe.path.len() / 2;
-        let headers = header_sequence(graph, &probe.path, probe.header);
-        let left = self.install_probe(net, graph, &probe.path[..mid], probe.header)?;
-        // The right half is entered with the header as it left the left
-        // half (`headers[mid - 1]` is the header after rule `mid - 1`).
-        let right = self.install_probe(net, graph, &probe.path[mid..], headers[mid - 1])?;
+        let (head, tail) = probe.path.split_at(probe.path.len() / 2);
+        let left = self.install_probe(net, graph, head, probe.header)?;
+        // The right half is entered with the header as it left the left.
+        let right =
+            self.install_probe(net, graph, tail, header_after(graph, head, probe.header))?;
         Ok(Some((left, right)))
     }
 
@@ -409,16 +446,11 @@ impl Default for ProbeHarness {
     }
 }
 
-/// The header after each rule of the path: `h_i = T(h_{i-1}, s_i)`.
-/// Index `i` holds the header after `path[i]`'s set field.
-pub(crate) fn header_sequence(graph: &RuleGraph, path: &[VertexId], entry: Header) -> Vec<Header> {
-    let mut out = Vec::with_capacity(path.len());
-    let mut h = entry;
-    for &v in path {
-        h = h.apply_set_field(&graph.vertex(v).set_field);
-        out.push(h);
-    }
-    out
+/// The header after every rule of the path has applied its set field:
+/// the fold of `h_i = T(h_{i-1}, s_i)` from `h_0 = entry`.
+fn header_after(graph: &RuleGraph, path: &[VertexId], entry: Header) -> Header {
+    path.iter()
+        .fold(entry, |h, &v| h.apply_set_field(&graph.vertex(v).set_field))
 }
 
 #[cfg(test)]
@@ -690,17 +722,26 @@ mod tests {
     }
 
     #[test]
-    fn header_sequence_applies_set_fields() {
+    fn header_after_applies_set_fields() {
         let (_, graph) = line3_with_rewrite();
         let path: Vec<VertexId> = graph.vertex_ids().collect();
         // Order vertices by switch to get the actual path order.
         let mut path = path;
         path.sort_by_key(|&v| graph.vertex(v).switch);
         let h = Header::new(0, 8);
-        let seq = header_sequence(&graph, &path, h);
-        assert_eq!(seq.len(), 3);
-        assert!(!seq[0].bit(1), "switch 0 does not rewrite");
-        assert!(seq[1].bit(1), "switch 1 sets bit 1");
-        assert!(seq[2].bit(1));
+        assert_eq!(header_after(&graph, &[], h), h);
+        assert!(
+            !header_after(&graph, &path[..1], h).bit(1),
+            "switch 0 does not rewrite"
+        );
+        assert!(
+            header_after(&graph, &path[..2], h).bit(1),
+            "switch 1 sets bit 1"
+        );
+        assert!(header_after(&graph, &path, h).bit(1));
+        assert_eq!(
+            header_after(&graph, &path[1..], h),
+            header_after(&graph, &path, h)
+        );
     }
 }

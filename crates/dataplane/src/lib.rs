@@ -48,5 +48,7 @@ mod table;
 pub use fault::{Activation, FaultKind, FaultSpec};
 pub use flow::{Action, EntryId, FlowEntry, TableId};
 pub use impairments::Impairments;
-pub use network::{EntryLocation, ForwardingTrace, Network, NetworkError, Outcome, TraceStep};
+pub use network::{
+    EntryLocation, ForwardingTrace, Network, NetworkError, Outcome, Route, TraceStep,
+};
 pub use table::FlowTable;

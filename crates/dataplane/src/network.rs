@@ -10,7 +10,9 @@
 //! evaluation metrics); detection algorithms must only consume
 //! [`ForwardingTrace::observation`], which is the packet-in event a real
 //! controller would see, or [`Network::observe`], which forwards the
-//! same way and returns only that event.
+//! same way and returns only that event. [`Network::observe_along`]
+//! returns the same event for a packet sent again and again, replaying
+//! the lookups of its last walk ([`Route`]) where tables are unchanged.
 
 use std::collections::HashMap;
 
@@ -119,6 +121,24 @@ impl ForwardingTrace {
     pub fn entries_matched(&self) -> Vec<EntryId> {
         self.steps.iter().map(|s| s.entry).collect()
     }
+}
+
+/// A memo of one packet's lookups, kept by the sender between sends and
+/// replayed by [`Network::observe_along`].
+///
+/// It holds the packet's entry switch and header and, for each hop of
+/// its last walk, the stamp of the table looked up there and the slot
+/// the lookup answered. A table's stamp names its current contents and
+/// never repeats across tables, so a hop whose table still shows the
+/// recorded stamp is the same table with the same contents; with every
+/// earlier hop replayed or looked up afresh and no fault firing, the
+/// header arriving there is the recorded one too, and the hop replays.
+#[derive(Debug, Default)]
+pub struct Route {
+    /// Entry switch and header the hops were recorded for.
+    entry: Option<(SwitchId, Header)>,
+    /// `(table stamp, slot)` per hop, in walk order.
+    hops: Vec<(u64, usize)>,
 }
 
 /// Handle to an installed entry's location.
@@ -610,7 +630,7 @@ impl Network {
     /// Panics if the switch id is out of range.
     pub fn inject(&self, at: SwitchId, header: Header) -> ForwardingTrace {
         let mut steps = Vec::new();
-        let (outcome, final_header) = self.walk(at, header, |step| steps.push(step));
+        let (outcome, final_header) = self.walk(at, header, None, |step| steps.push(step));
         ForwardingTrace {
             steps,
             outcome,
@@ -626,31 +646,79 @@ impl Network {
     ///
     /// Panics if the switch id is out of range.
     pub fn observe(&self, at: SwitchId, header: Header) -> Option<(SwitchId, Header)> {
-        let (outcome, final_header) = self.walk(at, header, |_| {});
+        let (outcome, final_header) = self.walk(at, header, None, |_| {});
         packet_in(outcome, final_header)
     }
 
-    /// The forwarding loop behind [`Network::inject`] and
-    /// [`Network::observe`]: calls `on_step` for every pipeline step and
-    /// returns the terminal outcome with the header at that point.
+    /// [`Network::observe`] for a packet sent again and again: replays the
+    /// lookups `route` recorded for tables that have not changed since,
+    /// and records the rest for the next send. The answer is always the
+    /// one [`Network::observe`] gives; a route recorded for another entry
+    /// switch or header, or on another network, is simply re-recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the switch id is out of range.
+    pub fn observe_along(
+        &self,
+        at: SwitchId,
+        header: Header,
+        route: &mut Route,
+    ) -> Option<(SwitchId, Header)> {
+        let (outcome, final_header) = self.walk(at, header, Some(route), |_| {});
+        packet_in(outcome, final_header)
+    }
+
+    /// The forwarding loop behind [`Network::inject`],
+    /// [`Network::observe`] and [`Network::observe_along`]: calls
+    /// `on_step` for every pipeline step and returns the terminal outcome
+    /// with the header at that point.
+    ///
+    /// With a `route`, hop `k` reuses the recorded slot while its table
+    /// shows the recorded stamp; otherwise it looks the header up and
+    /// cuts the route at `k` before recording the answer. Once a fault
+    /// fires the header or the next table may differ from the recorded
+    /// walk's, so the route is neither read nor recorded any further.
     fn walk(
         &self,
         at: SwitchId,
         header: Header,
+        mut route: Option<&mut Route>,
         mut on_step: impl FnMut(TraceStep),
     ) -> (Outcome, Header) {
         assert!(
             at.0 < self.topology.switch_count(),
             "switch {at} out of range"
         );
+        if let Some(route) = route.as_deref_mut() {
+            if route.entry != Some((at, header)) {
+                route.entry = Some((at, header));
+                route.hops.clear();
+            }
+        }
         let mut switch = at;
         let mut table = TableId(0);
         let mut header = header;
         // Generous hop budget: every (switch, table) pair once, plus
         // slack for detours/misdirects.
         let budget = 4 * self.table_total.max(4);
-        for _ in 0..budget {
-            let Some((id, entry)) = self.tables[switch.0][table.0].lookup(header) else {
+        for hop in 0..budget {
+            let flow_table = &self.tables[switch.0][table.0];
+            let slot = match route.as_deref_mut() {
+                None => flow_table.lookup_slot(header),
+                Some(route) => match route.hops.get(hop) {
+                    Some(&(stamp, slot)) if stamp == flow_table.stamp() => Some(slot),
+                    _ => {
+                        route.hops.truncate(hop);
+                        let slot = flow_table.lookup_slot(header);
+                        if let Some(slot) = slot {
+                            route.hops.push((flow_table.stamp(), slot));
+                        }
+                        slot
+                    }
+                },
+            };
+            let Some((id, entry)) = slot.and_then(|slot| flow_table.entry_at(slot)) else {
                 return (Outcome::NoMatch { switch }, header);
             };
             on_step(TraceStep {
@@ -662,6 +730,7 @@ impl Network {
             // Faulty execution pre-empts or perturbs the normal action.
             if let Some(fault) = self.faults.get(&id) {
                 if fault.is_active(self.now_ns, header) {
+                    route = None;
                     match fault.kind() {
                         FaultKind::Drop => return (Outcome::Dropped { switch }, header),
                         FaultKind::Modify(bad_set) => {
@@ -802,6 +871,73 @@ mod tests {
             trace.switches_visited(),
             vec![SwitchId(0), SwitchId(1), SwitchId(2)]
         );
+    }
+
+    #[test]
+    fn route_replays_unchanged_tables_and_relooks_up_from_a_change() {
+        let (mut net, ids) = line3();
+        let stamp = |net: &Network, s: usize| net.tables[s][0].stamp();
+        let (at, h) = (SwitchId(0), Header::new(0x0F, 8));
+        let delivered = Some((SwitchId(2), h));
+        let mut route = Route::default();
+        assert_eq!(net.observe_along(at, h, &mut route), delivered);
+        let recorded: Vec<(u64, usize)> = (0..3).map(|s| (stamp(&net, s), 0)).collect();
+        assert_eq!(route.hops, recorded);
+        // Unchanged tables: every hop is replayed. A bogus slot on the
+        // last hop shows it, since only a replayed hop reads it.
+        route.hops[2].1 = 7;
+        assert_eq!(net.observe_along(at, h, &mut route), None);
+        assert_eq!(net.observe(at, h), delivered);
+        // A higher-priority drop on switch 1 that the packet does not
+        // match moves the forwarding entry to slot 1: hop 1 and every
+        // later hop are looked up afresh, so the bogus slot is never read.
+        let drop = net
+            .install(
+                SwitchId(1),
+                TableId(0),
+                FlowEntry::new(t("0000xxxx"), Action::Drop).with_priority(5),
+            )
+            .unwrap();
+        assert_eq!(net.observe_along(at, h, &mut route), delivered);
+        let relooked = vec![recorded[0], (stamp(&net, 1), 1), recorded[2]];
+        assert_eq!(route.hops, relooked);
+        // A modify fault on switch 0 sends 0x00 into the drop: the route
+        // is neither read nor recorded after the fault fires.
+        net.inject_fault(ids[0], FaultSpec::new(FaultKind::Modify(t("0000xxxx"))))
+            .unwrap();
+        assert_eq!(net.observe_along(at, h, &mut route), None);
+        assert_eq!(route.hops, relooked);
+        net.clear_fault(ids[0]);
+        // A new set field on switch 0 does the same through a new stamp.
+        let e0 = *net.entry(ids[0]).unwrap();
+        net.replace_entry(ids[0], e0.with_set_field(t("0000xxxx")))
+            .unwrap();
+        assert_eq!(net.observe_along(at, h, &mut route), None);
+        assert_eq!(net.observe(at, h), None);
+        net.replace_entry(ids[0], e0).unwrap();
+        assert_eq!(net.observe_along(at, h, &mut route), delivered);
+        // Removing the drop shifts switch 1's slots back.
+        net.remove(drop).unwrap();
+        assert_eq!(net.observe_along(at, h, &mut route), delivered);
+        assert_eq!(route.hops[1], (stamp(&net, 1), 0));
+        // An action-only rewrite keeps the stamp, and the replayed slot
+        // reads the new action.
+        let before = route.hops.clone();
+        let e2 = *net.entry(ids[2]).unwrap();
+        net.replace_entry(ids[2], e2.with_action(Action::Drop))
+            .unwrap();
+        assert_eq!(stamp(&net, 2), before[2].0);
+        assert_eq!(net.observe_along(at, h, &mut route), None);
+        assert_eq!(route.hops, before);
+        // Another entry header re-records the route from scratch.
+        net.replace_entry(ids[2], e2).unwrap();
+        let other = Header::new(0xF0, 8);
+        route.hops[0].1 = 7;
+        assert_eq!(
+            net.observe_along(SwitchId(1), other, &mut route),
+            Some((SwitchId(2), other))
+        );
+        assert_eq!(route.hops, before[1..]);
     }
 
     #[test]

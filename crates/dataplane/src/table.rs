@@ -1,6 +1,7 @@
 //! Flow tables and priority-based lookup.
 
 use std::cmp::Reverse;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use sdnprobe_classifier::TernaryTrie;
 use sdnprobe_headerspace::{Header, Ternary};
@@ -17,7 +18,12 @@ use crate::flow::{EntryId, FlowEntry};
 /// Lookup returns the highest-priority matching entry; ties are broken
 /// by installation order (earlier wins), matching common switch
 /// behaviour. All entries share one header length.
-#[derive(Debug, Clone, Default)]
+///
+/// Every table carries a stamp that names its current contents: no two
+/// tables in the process, clones included, ever hold the same stamp
+/// with different contents, so a lookup answer recorded with a stamp
+/// stays valid while the table still shows that stamp.
+#[derive(Debug)]
 pub struct FlowTable {
     /// Precedence keys, sorted: priority descending, then id ascending.
     keys: Vec<(Reverse<u16>, EntryId)>,
@@ -25,6 +31,45 @@ pub struct FlowTable {
     entries: Vec<FlowEntry>,
     /// Match-field trie; ids are the raw `EntryId` values.
     trie: TernaryTrie,
+    /// Names the contents: the high 32 bits are this instance's base,
+    /// the low 32 bits count its mutations.
+    stamp: u64,
+}
+
+/// Process-wide source of per-instance stamp bases (see
+/// `FlowTable::stamp`): one atomic operation per table created or
+/// cloned, none per flow-mod.
+static TABLE_INSTANCE: AtomicU64 = AtomicU64::new(0);
+
+/// A stamp no table has held: the next instance base. `Relaxed`
+/// suffices, since the counter publishes no other data and `fetch_add`
+/// alone makes every base unique.
+fn fresh_stamp() -> u64 {
+    TABLE_INSTANCE.fetch_add(1, Ordering::Relaxed) << 32
+}
+
+impl Default for FlowTable {
+    fn default() -> Self {
+        Self {
+            keys: Vec::new(),
+            entries: Vec::new(),
+            trie: TernaryTrie::default(),
+            stamp: fresh_stamp(),
+        }
+    }
+}
+
+impl Clone for FlowTable {
+    /// Clones take a fresh instance base: the clone and the original may
+    /// be mutated independently, so their later stamps must not meet.
+    fn clone(&self) -> Self {
+        Self {
+            keys: self.keys.clone(),
+            entries: self.entries.clone(),
+            trie: self.trie.clone(),
+            stamp: fresh_stamp(),
+        }
+    }
 }
 
 impl PartialEq for FlowTable {
@@ -50,6 +95,24 @@ impl FlowTable {
     /// True if the table has no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The stamp of the table's current contents. It changes on every
+    /// mutation except a replace that keeps the match field, priority
+    /// and set field, which leaves every slot and every header leaving
+    /// the table as it was.
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// Takes a stamp no table has held. The low half counts up; when it
+    /// would run into the next instance's base, a new base is drawn.
+    fn restamp(&mut self) {
+        self.stamp = if self.stamp as u32 == u32::MAX {
+            fresh_stamp()
+        } else {
+            self.stamp + 1
+        };
     }
 
     /// Iterates over `(id, entry)` in match-precedence order.
@@ -82,6 +145,7 @@ impl FlowTable {
         );
         self.keys.insert(pos, key);
         self.entries.insert(pos, entry);
+        self.restamp();
     }
 
     /// Removes an entry by id; returns it if present.
@@ -89,6 +153,7 @@ impl FlowTable {
         let pos = self.slot_of(id)?;
         self.trie.remove(id.0);
         self.keys.remove(pos);
+        self.restamp();
         Some(self.entries.remove(pos))
     }
 
@@ -99,12 +164,17 @@ impl FlowTable {
 
     /// Replaces an entry (same id), returning the old one. With match
     /// and priority unchanged (a MODIFY_STRICT) the slot is overwritten
-    /// in place; otherwise the entry moves to its new precedence slot.
+    /// in place, and the stamp stays too if the set field is unchanged
+    /// (an action-only rewrite such as Fig. 7's `goto`); otherwise the
+    /// entry moves to its new precedence slot.
     pub(crate) fn replace(&mut self, id: EntryId, entry: FlowEntry) -> Option<FlowEntry> {
         let pos = self.slot_of(id)?;
-        let slot = &mut self.entries[pos];
-        if slot.priority() == entry.priority() && slot.match_field() == entry.match_field() {
-            return Some(std::mem::replace(slot, entry));
+        let old = &self.entries[pos];
+        if old.priority() == entry.priority() && old.match_field() == entry.match_field() {
+            if old.set_field() != entry.set_field() {
+                self.restamp();
+            }
+            return Some(std::mem::replace(&mut self.entries[pos], entry));
         }
         let old = self.remove(id);
         self.insert(id, entry);
@@ -150,14 +220,26 @@ impl FlowTable {
 
     /// The highest-priority entry matching `header`, if any; ties break
     /// toward the lowest id.
+    pub fn lookup(&self, header: Header) -> Option<(EntryId, &FlowEntry)> {
+        self.lookup_slot(header).and_then(|pos| self.entry_at(pos))
+    }
+
+    /// The precedence slot of [`lookup`](Self::lookup)'s answer: the
+    /// position [`entry_at`](Self::entry_at) reads. It names the same
+    /// entry for as long as the table keeps its [`stamp`](Self::stamp).
     ///
     /// Resolved by the match-field trie in O(header bits) branch walks;
     /// the trie also returns the winner's priority, which locates its
     /// slot by binary search over the precedence keys.
-    pub fn lookup(&self, header: Header) -> Option<(EntryId, &FlowEntry)> {
+    pub(crate) fn lookup_slot(&self, header: Header) -> Option<usize> {
         let (id, priority) = self.trie.lookup(header.bits())?;
-        let id = EntryId(id);
-        self.slot(priority, id).map(|pos| (id, &self.entries[pos]))
+        self.slot(priority, EntryId(id))
+    }
+
+    /// The entry at a precedence slot, as [`iter`](Self::iter) would
+    /// yield it in that position; `None` past the end.
+    pub(crate) fn entry_at(&self, pos: usize) -> Option<(EntryId, &FlowEntry)> {
+        Some((self.keys.get(pos)?.1, self.entries.get(pos)?))
     }
 }
 
@@ -394,6 +476,71 @@ mod tests {
         let mut none = Vec::new();
         FlowTable::new().for_each_overlap(&t("xxxxxxxx"), |id| none.push(id));
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn stamps_change_with_the_contents() {
+        let mut tab = FlowTable::new();
+        let mut seen = vec![tab.stamp()];
+        let mut fresh = |tab: &FlowTable| {
+            assert!(
+                !seen.contains(&tab.stamp()),
+                "stamp {} repeats",
+                tab.stamp()
+            );
+            seen.push(tab.stamp());
+        };
+        tab.insert(EntryId(0), entry("0xxxxxxx", 1, 0));
+        fresh(&tab);
+        tab.insert(EntryId(1), entry("xxxxxxxx", 0, 1));
+        fresh(&tab);
+        // An action-only rewrite keeps every slot and every header.
+        let kept = tab.stamp();
+        tab.replace(EntryId(0), entry("0xxxxxxx", 1, 7));
+        assert_eq!(tab.stamp(), kept);
+        // A new set field, priority or match field, or a removal, does not.
+        tab.replace(
+            EntryId(0),
+            entry("0xxxxxxx", 1, 7).with_set_field(t("1xxxxxxx")),
+        );
+        fresh(&tab);
+        tab.replace(EntryId(0), entry("0xxxxxxx", 2, 7));
+        fresh(&tab);
+        tab.replace(EntryId(0), entry("00xxxxxx", 2, 7));
+        fresh(&tab);
+        tab.remove(EntryId(1));
+        fresh(&tab);
+        // A failed removal or replace changes nothing.
+        let last = tab.stamp();
+        tab.remove(EntryId(1));
+        assert!(tab.replace(EntryId(1), entry("1xxxxxxx", 0, 1)).is_none());
+        assert_eq!(tab.stamp(), last);
+        // Clones and new tables never share a stamp, before or after
+        // the same mutation.
+        let mut copy = tab.clone();
+        assert_eq!(copy, tab);
+        fresh(&copy);
+        fresh(&FlowTable::new());
+        tab.insert(EntryId(2), entry("1xxxxxxx", 0, 2));
+        copy.insert(EntryId(2), entry("1xxxxxxx", 0, 3));
+        fresh(&tab);
+        fresh(&copy);
+    }
+
+    #[test]
+    fn lookup_is_the_entry_at_the_looked_up_slot() {
+        let mut tab = FlowTable::new();
+        tab.insert(EntryId(0), entry("00xxxxxx", 1, 0));
+        tab.insert(EntryId(1), entry("0xxxxxxx", 2, 1));
+        tab.insert(EntryId(2), entry("xxxxxxxx", 0, 2));
+        for bits in 0..=255u128 {
+            let h = Header::new(bits, 8);
+            let slot = tab.lookup_slot(h).expect("the wildcard matches");
+            assert_eq!(tab.entry_at(slot), tab.lookup(h));
+            assert_eq!(tab.entry_at(slot), tab.iter().nth(slot));
+        }
+        assert!(tab.entry_at(3).is_none());
+        assert!(FlowTable::new().lookup_slot(Header::new(0, 8)).is_none());
     }
 
     #[test]
